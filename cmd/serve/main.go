@@ -42,14 +42,11 @@
 // hung re-mine and keeps serving the last good snapshot, marked stale,
 // while /healthz reports the degraded state.
 //
-// With -incremental the mining loop maintains its FP-tree across mines —
-// weighted inserts for arriving jobs, weighted decrements along evicted
-// paths — so steady-state re-mine cost is proportional to the jobs that
-// arrived since the last mine rather than the window size; rules are
-// identical, and /metrics' mine_incremental_total / mine_full_rebuild_total
-// show how often the rank-drift/fragmentation fallback rebuilds from
-// scratch. -pprof-addr exposes net/http/pprof on a separate listener for
-// profiling the mine loop in production.
+// Every mine builds its FP-tree afresh from the captured window; rule
+// generation, the drift diff and the query index are O(rules) anyway, and a
+// tree maintained across mines measured no faster end to end. Mining
+// parallelism follows GOMAXPROCS. -pprof-addr exposes net/http/pprof on a
+// separate listener for profiling the mine loop in production.
 //
 // With -spec generic the encoder is derived from flags instead of the
 // canonical PAI shape: -numeric columns are quartile-binned (-zero /
@@ -98,8 +95,6 @@ func main() {
 	cSupp := flag.Float64("c-supp", 1.5, "pruning support slack C_supp")
 	mineInterval := flag.Duration("mine-interval", 2*time.Second, "re-mine cadence")
 	mineBatch := flag.Int("mine-batch", 1000, "re-mine after this many new jobs")
-	mineWorkers := flag.Int("mine-workers", 0, "mining parallelism (0 = all cores, 1 = serial)")
-	incremental := flag.Bool("incremental", false, "maintain the FP-tree across mines so steady-state mine cost tracks the ingest delta, not the window size (rules are identical; a rank-drift or fragmentation fallback rebuilds when needed)")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof profiles (e.g. localhost:6060); empty disables")
 	queue := flag.Int("queue", 8192, "ingest queue capacity (full queue => 429)")
 	watchHistory := flag.Int("watch-history", 64, "drift events retained for /v1/drift/watch Last-Event-ID resume")
@@ -127,9 +122,8 @@ func main() {
 		spec: *spec, window: *window,
 		minSupport: *minSupport, minLift: *minLift, maxLen: *maxLen,
 		cLift: *cLift, cSupp: *cSupp,
-		mineInterval: *mineInterval, mineBatch: *mineBatch, mineWorkers: *mineWorkers,
-		incremental: *incremental,
-		queue:       *queue, bootstrap: *bootstrap, watchHistory: *watchHistory,
+		mineInterval: *mineInterval, mineBatch: *mineBatch,
+		queue: *queue, bootstrap: *bootstrap, watchHistory: *watchHistory,
 		stateDir: *stateDir, checkpointEvery: *checkpointEvery, keep: splitList(*keep),
 		walDir: *walDir, fsync: *fsync, fsyncInterval: *fsyncInterval, mineTimeout: *mineTimeout,
 		numeric: splitList(*numeric), zeros: splitList(*zeros), spikes: splitList(*spikes),
@@ -172,9 +166,8 @@ func main() {
 type options struct {
 	spec                                 string
 	window, maxLen, mineBatch            int
-	queue, bootstrap, mineWorkers        int
+	queue, bootstrap                     int
 	checkpointEvery, watchHistory        int
-	incremental                          bool
 	minSupport, minLift, cLift, cSupp    float64
 	mineInterval, mineTimeout            time.Duration
 	fsyncInterval                        time.Duration
@@ -197,8 +190,6 @@ func buildConfig(o options) (server.Config, error) {
 		MineBatch:       o.mineBatch,
 		QueueSize:       o.queue,
 		WatchHistory:    o.watchHistory,
-		Workers:         o.mineWorkers,
-		Incremental:     o.incremental,
 		StateDir:        o.stateDir,
 		CheckpointEvery: o.checkpointEvery,
 		KeepItems:       o.keep,

@@ -149,35 +149,15 @@ func TestBuildConfigPAI(t *testing.T) {
 	}
 }
 
+// TestBuildConfigMineWorkers: serve sets no mining parallelism of its own,
+// so Workers stays zero and GOMAXPROCS decides.
 func TestBuildConfigMineWorkers(t *testing.T) {
-	o := baseOptions()
-	o.mineWorkers = 3
-	cfg, err := buildConfig(o)
+	cfg, err := buildConfig(baseOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Workers != 3 {
-		t.Errorf("Workers = %d, want -mine-workers value 3", cfg.Workers)
-	}
-	o.mineWorkers = 0
-	if cfg, _ = buildConfig(o); cfg.Workers != 0 {
-		t.Errorf("Workers = %d, want 0 (all cores) by default", cfg.Workers)
-	}
-}
-
-func TestBuildConfigIncremental(t *testing.T) {
-	o := baseOptions()
-	o.incremental = true
-	cfg, err := buildConfig(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.Incremental {
-		t.Error("Incremental not set from -incremental")
-	}
-	o.incremental = false
-	if cfg, _ = buildConfig(o); cfg.Incremental {
-		t.Error("Incremental on by default; -incremental must be opt-in")
+	if cfg.Workers != 0 {
+		t.Errorf("Workers = %d, want 0 (GOMAXPROCS)", cfg.Workers)
 	}
 }
 

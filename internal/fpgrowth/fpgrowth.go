@@ -117,10 +117,11 @@ func resizeFill(s []int32, n int, fill int32) []int32 {
 }
 
 // insert adds one transaction, given as ascending ranks, with multiplicity
-// count. Children are found by a linear sibling scan: fan-out is bounded by
-// the item vocabulary and the list nodes are contiguous in the arena, so
-// the scan stays in cache.
-func (t *tree) insert(ranks []int32, count int32) {
+// count, and reports how many count-zero nodes on its path it revived (only
+// an Incremental tree ever holds such dead nodes). Children are found by a
+// linear sibling scan: fan-out is bounded by the item vocabulary and the
+// list nodes are contiguous in the arena, so the scan stays in cache.
+func (t *tree) insert(ranks []int32, count int32) (revived int) {
 	cur := int32(0)
 	for _, r := range ranks {
 		prev := nilIdx
@@ -143,10 +144,13 @@ func (t *tree) insert(ranks []int32, count int32) {
 				t.nodes[t.tails[r]].next = c
 			}
 			t.tails[r] = c
+		} else if t.nodes[c].count == 0 {
+			revived++
 		}
 		t.nodes[c].count += count
 		cur = c
 	}
+	return revived
 }
 
 // singlePath returns the node indices of the tree's unique root→leaf chain

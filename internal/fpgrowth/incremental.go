@@ -1,10 +1,12 @@
-// Incremental FP-tree maintenance: the steady-state half of the serving
-// hot path. A sliding-window miner that rebuilds its FP-tree from scratch
-// every tick pays O(window) per mine no matter how little changed; an
-// Incremental tree instead persists across mines and is patched in place —
-// a weighted insert for every arriving transaction, a weighted decrement
-// along the path of every evicted one — so the per-tick maintenance cost is
-// proportional to the delta.
+// Incremental FP-tree maintenance, a library for sliding-window mining. A
+// sliding-window miner that rebuilds its FP-tree from scratch every tick
+// pays O(window) per mine no matter how little changed; an Incremental tree
+// instead persists across mines and is patched in place — a weighted
+// insert for every arriving transaction, a weighted decrement along the
+// path of every evicted one — so the per-tick maintenance cost is
+// proportional to the delta. The serving loop (internal/stream) does not
+// use it: there rule generation, diff and index build dominate each
+// publish, and a maintained tree measured no faster end to end.
 //
 // Correctness does not require the tree's item order to track item
 // frequency: any fixed total order over items yields exact conditional
@@ -141,38 +143,11 @@ func (inc *Incremental) Add(txn itemset.Set) {
 		inc.encBuf = append(inc.encBuf, inc.rank(it, true))
 	}
 	rankSort(inc.encBuf)
-	t := &inc.t
-	cur := int32(0)
+	// Reviving a dead node needs no allocation and no relink: the lazy
+	// unlink left the fully evicted path in place for exactly this.
+	inc.dead -= inc.t.insert(inc.encBuf, 1)
 	for _, r := range inc.encBuf {
-		prev := nilIdx
-		c := t.nodes[cur].child
-		for c != nilIdx && t.nodes[c].rank != r {
-			prev = c
-			c = t.nodes[c].sibling
-		}
-		if c == nilIdx {
-			c = int32(len(t.nodes))
-			t.nodes = append(t.nodes, node{rank: r, parent: cur, child: nilIdx, sibling: nilIdx, next: nilIdx})
-			if prev == nilIdx {
-				t.nodes[cur].child = c
-			} else {
-				t.nodes[prev].sibling = c
-			}
-			if t.heads[r] == nilIdx {
-				t.heads[r] = c
-			} else {
-				t.nodes[t.tails[r]].next = c
-			}
-			t.tails[r] = c
-		} else if t.nodes[c].count == 0 {
-			// Reviving a dead node: the path was fully evicted earlier and
-			// is now back. No allocation, no relink — the lazy unlink left
-			// everything in place for exactly this.
-			inc.dead--
-		}
-		t.nodes[c].count++
-		t.counts[r]++
-		cur = c
+		inc.t.counts[r]++
 	}
 	inc.txns++
 }
@@ -354,7 +329,7 @@ func (inc *Incremental) Rebuild() {
 // mine on another goroutine while this Incremental keeps absorbing window
 // slides. The copy is a handful of contiguous slice clones — O(tree), far
 // below the O(window) rebuild it replaces — and holds no reference back, so
-// an abandoned (watchdogged) mine strands only its clone.
+// an abandoned mine strands only its clone.
 func (inc *Incremental) Freeze() *FrozenTree {
 	ft := &FrozenTree{txns: inc.txns}
 	ft.t.nodes = append([]node(nil), inc.t.nodes...)

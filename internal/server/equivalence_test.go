@@ -102,6 +102,35 @@ func writeRulesLinear(w http.ResponseWriter, r *http.Request, snap *Snapshot, p 
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// resolveKeyword is the linear reference for RuleIndex.Resolve: exact item
+// name first, then unique substring, found by walking the whole catalog.
+// Ambiguity is an error listing the candidates.
+func resolveKeyword(c *itemset.Catalog, keyword string) (itemset.Item, string, error) {
+	if id, ok := c.Lookup(keyword); ok {
+		return id, keyword, nil
+	}
+	var matches []string
+	var matchID itemset.Item
+	for id := itemset.Item(0); int(id) < c.Len(); id++ {
+		name := c.Name(id)
+		if strings.Contains(name, keyword) {
+			matches = append(matches, name)
+			matchID = id
+		}
+	}
+	switch len(matches) {
+	case 0:
+		return 0, "", fmt.Errorf("keyword %q matches no item in the current snapshot", keyword)
+	case 1:
+		return matchID, matches[0], nil
+	default:
+		if len(matches) > 8 {
+			matches = append(matches[:8], "…")
+		}
+		return 0, "", fmt.Errorf("keyword %q is ambiguous: %s", keyword, strings.Join(matches, ", "))
+	}
+}
+
 // minedSnapshot pushes generated PAI jobs through the server's own encode
 // pipeline (bootstrap-fitted bins, tiers, prevalence drop) and miner,
 // returning a published-shaped snapshot — the read path's input without

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/itemset"
 	"repro/internal/rules"
 	"repro/internal/stream"
 )
@@ -680,35 +679,6 @@ func (s *Server) Metrics() map[string]any { return s.metricsView() }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.metricsView())
-}
-
-// resolveKeyword maps a query keyword to a catalog item: exact item name
-// first, then unique substring so operators can write ?keyword=failed for
-// status=failed. Ambiguity is an error listing the candidates.
-func resolveKeyword(c *itemset.Catalog, keyword string) (itemset.Item, string, error) {
-	if id, ok := c.Lookup(keyword); ok {
-		return id, keyword, nil
-	}
-	var matches []string
-	var matchID itemset.Item
-	for id := itemset.Item(0); int(id) < c.Len(); id++ {
-		name := c.Name(id)
-		if strings.Contains(name, keyword) {
-			matches = append(matches, name)
-			matchID = id
-		}
-	}
-	switch len(matches) {
-	case 0:
-		return 0, "", fmt.Errorf("keyword %q matches no item in the current snapshot", keyword)
-	case 1:
-		return matchID, matches[0], nil
-	default:
-		if len(matches) > 8 {
-			matches = append(matches[:8], "…")
-		}
-		return 0, "", fmt.Errorf("keyword %q is ambiguous: %s", keyword, strings.Join(matches, ", "))
-	}
 }
 
 func intParam(raw string, def int) (int, error) {

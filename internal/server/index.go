@@ -207,9 +207,11 @@ func (ix *RuleIndex) CacheStats() (hits, misses int64) {
 	return ix.cacheHits.Load(), ix.cacheMiss.Load()
 }
 
-// Resolve maps a query keyword to a catalog item: exact name first, then
-// unique substring, exactly like the linear resolveKeyword — but against
-// the prebuilt blob index, with per-keyword memoization.
+// Resolve maps a query keyword to a catalog item: exact item name first,
+// then unique substring so operators can write ?keyword=failed for
+// status=failed; ambiguity is an error listing the candidates. It searches
+// the prebuilt blob index with per-keyword memoization; the randomized
+// equivalence suite checks it against a linear catalog scan.
 func (ix *RuleIndex) Resolve(keyword string) (itemset.Item, string, error) {
 	return ix.resolver.resolve(keyword)
 }

@@ -18,10 +18,7 @@ type metrics struct {
 	lastMineNanos atomic.Int64 // duration of the latest re-mine
 	minePanics    atomic.Int64 // mines that panicked (recovered, snapshot kept)
 	mineTimeouts  atomic.Int64 // mines abandoned by the watchdog
-
-	mineIncremental  atomic.Int64 // mines served by the maintained FP-tree
-	mineFullRebuilds atomic.Int64 // mines that (re)built the tree from the window
-	degraded         atomic.Int32 // current failure mode: 0 healthy, see degradeReasonString
+	degraded      atomic.Int32 // current failure mode: 0 healthy, see degradeReasonString
 
 	checkpoints         atomic.Int64 // state files written
 	checkpointErrors    atomic.Int64 // state file writes that failed
@@ -38,32 +35,30 @@ type metrics struct {
 // view renders the counters plus the derived gauges into a JSON-ready map.
 func (s *Server) metricsView() map[string]any {
 	out := map[string]any{
-		"uptime_s":                s.clock.Now().Sub(s.started).Seconds(),
-		"ingest_accepted":         s.metrics.accepted.Load(),
-		"ingest_rejected":         s.metrics.rejected.Load(),
-		"ingest_throttled":        s.metrics.throttled.Load(),
-		"encode_errors":           s.metrics.encodeErrors.Load(),
-		"encode_panics":           s.metrics.encodePanics.Load(),
-		"queue_depth":             len(s.queue),
-		"queue_capacity":          cap(s.queue),
-		"window_capacity":         s.cfg.WindowSize,
-		"mine_count":              s.metrics.mineCount.Load(),
-		"last_mine_ms":            float64(s.metrics.lastMineNanos.Load()) / 1e6,
-		"mine_panics_total":       s.metrics.minePanics.Load(),
-		"mine_timeouts_total":     s.metrics.mineTimeouts.Load(),
-		"mine_incremental_total":  s.metrics.mineIncremental.Load(),
-		"mine_full_rebuild_total": s.metrics.mineFullRebuilds.Load(),
-		"degraded":                s.metrics.degraded.Load() != degradedNone,
-		"watch_subscribers":       s.watch.Subscribers(),
-		"watch_events_total":      s.watch.EventsPublished(),
-		"checkpoints":             s.metrics.checkpoints.Load(),
-		"checkpoint_errors":       s.metrics.checkpointErrors.Load(),
-		"checkpoint_fallbacks":    s.metrics.checkpointFallbacks.Load(),
-		"restored":                s.metrics.restored.Load(),
-		"snapshot_seq":            int64(0),
-		"window_len":              0,
-		"rules":                   0,
-		"snapshot_age_s":          float64(0),
+		"uptime_s":             s.clock.Now().Sub(s.started).Seconds(),
+		"ingest_accepted":      s.metrics.accepted.Load(),
+		"ingest_rejected":      s.metrics.rejected.Load(),
+		"ingest_throttled":     s.metrics.throttled.Load(),
+		"encode_errors":        s.metrics.encodeErrors.Load(),
+		"encode_panics":        s.metrics.encodePanics.Load(),
+		"queue_depth":          len(s.queue),
+		"queue_capacity":       cap(s.queue),
+		"window_capacity":      s.cfg.WindowSize,
+		"mine_count":           s.metrics.mineCount.Load(),
+		"last_mine_ms":         float64(s.metrics.lastMineNanos.Load()) / 1e6,
+		"mine_panics_total":    s.metrics.minePanics.Load(),
+		"mine_timeouts_total":  s.metrics.mineTimeouts.Load(),
+		"degraded":             s.metrics.degraded.Load() != degradedNone,
+		"watch_subscribers":    s.watch.Subscribers(),
+		"watch_events_total":   s.watch.EventsPublished(),
+		"checkpoints":          s.metrics.checkpoints.Load(),
+		"checkpoint_errors":    s.metrics.checkpointErrors.Load(),
+		"checkpoint_fallbacks": s.metrics.checkpointFallbacks.Load(),
+		"restored":             s.metrics.restored.Load(),
+		"snapshot_seq":         int64(0),
+		"window_len":           0,
+		"rules":                0,
+		"snapshot_age_s":       float64(0),
 	}
 	if reason := degradeReasonString(s.metrics.degraded.Load()); reason != "" {
 		out["degraded_reason"] = reason

@@ -83,12 +83,6 @@ type Config struct {
 	// and rule-generation shards). Zero means GOMAXPROCS; 1 forces serial
 	// mining. Snapshots are identical for any worker count.
 	Workers int
-	// Incremental maintains the FP-tree across mines (weighted inserts for
-	// arrivals, weighted decrements along evicted paths) so steady-state
-	// mine cost tracks the ingest delta instead of the window size. Rules
-	// are identical either way; /metrics counts how often the rank-drift /
-	// fragmentation fallback forces a full rebuild.
-	Incremental bool
 	// StateDir, when set, makes the server durable: the mining loop
 	// checkpoints its full state (fitted discretizers, tier and prevalence
 	// counts, item catalog, window ring, snapshot seq) to an atomically
@@ -130,15 +124,7 @@ func (c Config) withDefaults() Config {
 	if c.WindowSize == 0 {
 		c.WindowSize = 5000
 	}
-	if c.MinSupport == 0 {
-		c.MinSupport = 0.05
-	}
-	if c.MaxLen == 0 {
-		c.MaxLen = 5
-	}
-	if c.MinLift == 0 {
-		c.MinLift = 1.5
-	}
+	c.MinSupport, c.MaxLen, c.MinLift = stream.Thresholds(c.MinSupport, c.MaxLen, c.MinLift)
 	if c.CLift == 0 {
 		c.CLift = 1.5
 	}
@@ -417,12 +403,11 @@ func (s *Server) openWALAndReplay(miner *stream.Miner, enc *encoder) error {
 
 func (s *Server) streamConfig() stream.Config {
 	return stream.Config{
-		WindowSize:  s.cfg.WindowSize,
-		MinSupport:  s.cfg.MinSupport,
-		MaxLen:      s.cfg.MaxLen,
-		MinLift:     s.cfg.MinLift,
-		Workers:     s.cfg.Workers,
-		Incremental: s.cfg.Incremental,
+		WindowSize: s.cfg.WindowSize,
+		MinSupport: s.cfg.MinSupport,
+		MaxLen:     s.cfg.MaxLen,
+		MinLift:    s.cfg.MinLift,
+		Workers:    s.cfg.Workers,
 	}
 }
 
@@ -681,13 +666,6 @@ type mineOutcome struct {
 func (s *Server) mine(miner *stream.Miner) {
 	start := s.clock.Now()
 	pv := miner.BeginView()
-	if pv.Incremental() && !pv.Rebuilt() {
-		s.metrics.mineIncremental.Add(1)
-	} else {
-		// Either the miner runs in full-rebuild mode, or the incremental
-		// tree's rank-drift / fragmentation fallback fired at capture.
-		s.metrics.mineFullRebuilds.Add(1)
-	}
 	outcome := make(chan mineOutcome, 1)
 	go func() {
 		defer func() {
@@ -712,7 +690,6 @@ func (s *Server) mine(miner *stream.Miner) {
 			return
 		}
 		s.publish(out.view, s.clock.Now().Sub(start))
-		s.metrics.degraded.Store(degradedNone)
 	case <-timeout:
 		// The goroutine is beyond recall; it holds only its PendingView
 		// (a private catalog clone plus immutable window sets), so the
@@ -763,6 +740,9 @@ func (s *Server) publish(view *stream.View, took time.Duration) {
 		Index:        NewRuleIndex(view),
 		Delta:        delta,
 	}
+	// A clean mine ends any degraded state. Clear the flag before the swap,
+	// so a reader that sees the new seq never sees the old failure.
+	s.metrics.degraded.Store(degradedNone)
 	s.snap.Store(snap)
 	s.watch.Publish(snap)
 	s.metrics.mineCount.Add(1)

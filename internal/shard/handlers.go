@@ -286,11 +286,9 @@ func (c *Cluster) writePrometheus(w http.ResponseWriter) {
 	fmt.Fprintf(&b, "# HELP armine_shard_mine_duration_seconds Duration of the shard's latest re-mine.\n")
 	fmt.Fprintf(&b, "# TYPE armine_shard_mine_duration_seconds gauge\n")
 	type shardGauge struct {
-		seq         int64
-		accepted    int64
-		incremental int64
-		rebuilds    int64
-		dur         float64
+		seq      int64
+		accepted int64
+		dur      float64
 	}
 	gauges := make([]shardGauge, len(c.shards))
 	for i, s := range c.shards {
@@ -304,12 +302,6 @@ func (c *Cluster) writePrometheus(w http.ResponseWriter) {
 		if v, ok := m["ingest_accepted"].(int64); ok {
 			gauges[i].accepted = v
 		}
-		if v, ok := m["mine_incremental_total"].(int64); ok {
-			gauges[i].incremental = v
-		}
-		if v, ok := m["mine_full_rebuild_total"].(int64); ok {
-			gauges[i].rebuilds = v
-		}
 		fmt.Fprintf(&b, "armine_shard_mine_duration_seconds{shard=\"%d\"} %g\n", i, gauges[i].dur)
 	}
 	fmt.Fprintf(&b, "# HELP armine_shard_snapshot_seq Latest published snapshot sequence number.\n")
@@ -321,16 +313,6 @@ func (c *Cluster) writePrometheus(w http.ResponseWriter) {
 	fmt.Fprintf(&b, "# TYPE armine_shard_ingest_accepted_total counter\n")
 	for i := range gauges {
 		fmt.Fprintf(&b, "armine_shard_ingest_accepted_total{shard=\"%d\"} %d\n", i, gauges[i].accepted)
-	}
-	fmt.Fprintf(&b, "# HELP armine_shard_mine_incremental_total Mines served by the maintained FP-tree.\n")
-	fmt.Fprintf(&b, "# TYPE armine_shard_mine_incremental_total counter\n")
-	for i := range gauges {
-		fmt.Fprintf(&b, "armine_shard_mine_incremental_total{shard=\"%d\"} %d\n", i, gauges[i].incremental)
-	}
-	fmt.Fprintf(&b, "# HELP armine_shard_mine_full_rebuild_total Mines that rebuilt the FP-tree from the window (always, or via the incremental mode's drift/fragmentation fallback).\n")
-	fmt.Fprintf(&b, "# TYPE armine_shard_mine_full_rebuild_total counter\n")
-	for i := range gauges {
-		fmt.Fprintf(&b, "armine_shard_mine_full_rebuild_total{shard=\"%d\"} %d\n", i, gauges[i].rebuilds)
 	}
 
 	w.WriteHeader(http.StatusOK)

@@ -22,7 +22,6 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 
 	"repro/internal/rules"
 	"repro/internal/server"
@@ -116,22 +115,9 @@ func (c *Cluster) remerge(snaps []*server.Snapshot, key string) *mergedSnap {
 		dbs = append(dbs, db)
 	}
 
-	minSupport, maxLen, minLift := c.cfg.Shard.MinSupport, c.cfg.Shard.MaxLen, c.cfg.Shard.MinLift
-	if minSupport == 0 {
-		minSupport = 0.05
-	}
-	if maxLen == 0 {
-		maxLen = 5
-	}
-	if minLift == 0 {
-		minLift = 1.5
-	}
-	minCount := int(math.Ceil(minSupport * float64(totalLen)))
-	if minCount < 1 {
-		minCount = 1
-	}
+	minSupport, maxLen, minLift := stream.Thresholds(c.cfg.Shard.MinSupport, c.cfg.Shard.MaxLen, c.cfg.Shard.MinLift)
 	frequent := son.MineShards(dbs, son.Options{
-		MinCount: minCount,
+		MinCount: stream.MinCount(minSupport, totalLen),
 		MaxLen:   maxLen,
 		Workers:  c.cfg.Shard.Workers,
 	})

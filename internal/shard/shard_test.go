@@ -354,12 +354,6 @@ func TestMetricsScrapeFormat(t *testing.T) {
 		`armine_shard_mine_duration_seconds{shard="0"}`,
 		`armine_shard_snapshot_seq{shard="1"}`,
 		`armine_shard_ingest_accepted_total{shard="0"}`,
-		"# TYPE armine_shard_mine_incremental_total counter",
-		`armine_shard_mine_incremental_total{shard="0"} `,
-		`armine_shard_mine_incremental_total{shard="1"} `,
-		"# TYPE armine_shard_mine_full_rebuild_total counter",
-		`armine_shard_mine_full_rebuild_total{shard="0"} `,
-		`armine_shard_mine_full_rebuild_total{shard="1"} `,
 	}
 	for _, want := range wantLines {
 		if !strings.Contains(body, want) {

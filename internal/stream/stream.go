@@ -19,6 +19,29 @@ import (
 	"repro/internal/transaction"
 )
 
+// Thresholds resolves zero mining thresholds to the paper's settings:
+// support 0.05, itemset length 5, lift 1.5. Every layer that mines a window
+// (this package, internal/server and the shard merge) resolves its
+// thresholds here, so the defaults cannot drift apart.
+func Thresholds(minSupport float64, maxLen int, minLift float64) (float64, int, float64) {
+	if minSupport == 0 {
+		minSupport = 0.05
+	}
+	if maxLen == 0 {
+		maxLen = 5
+	}
+	if minLift == 0 {
+		minLift = 1.5
+	}
+	return minSupport, maxLen, minLift
+}
+
+// MinCount is the absolute support threshold over n transactions:
+// ceil(minSupport·n), clamped to at least 1.
+func MinCount(minSupport float64, n int) int {
+	return max(int(math.Ceil(minSupport*float64(n))), 1)
+}
+
 // Config sizes the window and fixes the mining thresholds.
 type Config struct {
 	// WindowSize is the number of most recent transactions retained.
@@ -33,16 +56,6 @@ type Config struct {
 	// rules.Generate. Zero means GOMAXPROCS; 1 forces serial mining. The
 	// mined rules are identical for any worker count.
 	Workers int
-	// Incremental maintains a persistent FP-tree across mines: Observe
-	// applies a weighted insert for the arriving transaction and a weighted
-	// decrement along the evicted one's path, so steady-state mine cost is
-	// proportional to the delta since the last mine rather than the window.
-	// Mined rules are identical either way; this is purely a latency mode.
-	Incremental bool
-	// IncOptions tunes the incremental tree's rebuild fallbacks (rank-drift
-	// threshold, dead-node fraction). Zero values pick the fpgrowth
-	// defaults. Ignored unless Incremental is set.
-	IncOptions fpgrowth.IncOptions
 }
 
 // Miner is a sliding-window association rule miner. It is not safe for
@@ -56,9 +69,6 @@ type Miner struct {
 	next    int
 	filled  bool
 	total   int
-	// inc is the persistent FP-tree mirror of the ring, maintained
-	// per-Observe when cfg.Incremental is set; nil otherwise.
-	inc *fpgrowth.Incremental
 }
 
 // New returns a Miner over catalog (nil allocates a fresh one).
@@ -66,73 +76,29 @@ func New(catalog *itemset.Catalog, cfg Config) (*Miner, error) {
 	if cfg.WindowSize < 1 {
 		return nil, fmt.Errorf("stream: window size %d", cfg.WindowSize)
 	}
-	if cfg.MinSupport == 0 {
-		cfg.MinSupport = 0.05
-	}
-	if cfg.MaxLen == 0 {
-		cfg.MaxLen = 5
-	}
-	if cfg.MinLift == 0 {
-		cfg.MinLift = 1.5
-	}
+	cfg.MinSupport, cfg.MaxLen, cfg.MinLift = Thresholds(cfg.MinSupport, cfg.MaxLen, cfg.MinLift)
 	if catalog == nil {
 		catalog = itemset.NewCatalog()
 	}
-	m := &Miner{
+	return &Miner{
 		cfg:     cfg,
 		catalog: catalog,
 		ring:    make([][]itemset.Item, cfg.WindowSize),
-	}
-	if cfg.Incremental {
-		m.inc = fpgrowth.NewIncremental(cfg.IncOptions)
-	}
-	return m, nil
+	}, nil
 }
 
 // Catalog returns the item catalog backing the miner.
 func (m *Miner) Catalog() *itemset.Catalog { return m.catalog }
 
 // Observe appends one transaction, evicting the oldest when the window is
-// full. In incremental mode the persistent tree absorbs the same delta:
-// one weighted decrement for the eviction, one weighted insert for the
-// arrival.
+// full.
 func (m *Miner) Observe(items ...itemset.Item) {
-	txn := itemset.NewSet(items...)
-	var evictErr error
-	if m.inc != nil {
-		if m.filled {
-			evictErr = m.inc.Remove(m.ring[m.next])
-		}
-		if evictErr == nil {
-			m.inc.Add(txn)
-		}
-	}
-	m.ring[m.next] = txn
+	m.ring[m.next] = itemset.NewSet(items...)
 	m.next++
 	m.total++
 	if m.next == len(m.ring) {
 		m.next = 0
 		m.filled = true
-	}
-	if evictErr != nil {
-		// The tree disagreed with the ring about the evicted path. That is
-		// an invariant break that must never poison mining, so resync the
-		// tree from the ring — the incremental worst case is by design the
-		// non-incremental steady state.
-		m.resetInc()
-	}
-}
-
-// resetInc rebuilds the persistent tree from the ring contents.
-func (m *Miner) resetInc() {
-	m.inc = fpgrowth.NewIncremental(m.cfg.IncOptions)
-	if m.filled {
-		for _, txn := range m.ring[m.next:] {
-			m.inc.Add(txn)
-		}
-	}
-	for _, txn := range m.ring[:m.next] {
-		m.inc.Add(txn)
 	}
 }
 
@@ -191,12 +157,6 @@ func (m *Miner) RestoreWindow(txns []itemset.Set, total int) error {
 	m.next = len(txns) % len(m.ring)
 	m.filled = len(txns) == len(m.ring)
 	m.total = total
-	if m.inc != nil {
-		// Checkpoints persist only the window; the tree is derived state,
-		// rebuilt here so restored miners mine incrementally from the first
-		// post-restore tick.
-		m.resetInc()
-	}
 	return nil
 }
 
@@ -206,18 +166,14 @@ func (m *Miner) Total() int { return m.total }
 // Snapshot mines the current window and returns the rules above the lift
 // threshold, strongest first.
 func (m *Miner) Snapshot() []rules.Rule {
-	if m.inc != nil {
-		m.inc.Maintain()
-		return mineFrozen(m.cfg, m.inc.Freeze(), m.Len())
-	}
 	// Ring slots are canonical sets that Observe replaces rather than
 	// mutates, so the window database can alias them.
 	return mineWindow(m.cfg, m.catalog, m.ring[:m.Len()])
 }
 
 // mineWindow runs the FP-Growth → rule-generation pipeline over one
-// captured window. Shared by the in-place Snapshot and the detachable
-// PendingView so both mine byte-identically.
+// captured window, building the FP-tree afresh. Shared by the in-place
+// Snapshot and the detachable PendingView so both mine byte-identically.
 func mineWindow(cfg Config, catalog *itemset.Catalog, window [][]itemset.Item) []rules.Rule {
 	n := len(window)
 	if n == 0 {
@@ -227,31 +183,8 @@ func mineWindow(cfg Config, catalog *itemset.Catalog, window [][]itemset.Item) [
 	for _, txn := range window {
 		db.AddCanonical(txn)
 	}
-	minCount := int(math.Ceil(cfg.MinSupport * float64(n)))
-	if minCount < 1 {
-		minCount = 1
-	}
 	frequent := fpgrowth.Mine(db, fpgrowth.Options{
-		MinCount: minCount,
-		MaxLen:   cfg.MaxLen,
-		Workers:  cfg.Workers,
-	})
-	return rules.Generate(frequent, n, rules.Options{MinLift: cfg.MinLift, Workers: cfg.Workers})
-}
-
-// mineFrozen is mineWindow against a maintained tree snapshot instead of a
-// freshly built one: same thresholds, same rule generation, no per-mine
-// O(window) tree construction.
-func mineFrozen(cfg Config, ft *fpgrowth.FrozenTree, n int) []rules.Rule {
-	if n == 0 {
-		return nil
-	}
-	minCount := int(math.Ceil(cfg.MinSupport * float64(n)))
-	if minCount < 1 {
-		minCount = 1
-	}
-	frequent := ft.Mine(fpgrowth.Options{
-		MinCount: minCount,
+		MinCount: MinCount(cfg.MinSupport, n),
 		MaxLen:   cfg.MaxLen,
 		Workers:  cfg.Workers,
 	})
@@ -298,15 +231,6 @@ type PendingView struct {
 	catalog *itemset.Catalog
 	window  [][]itemset.Item
 	total   int
-	// frozen is a deep copy of the maintained tree taken at capture time
-	// (incremental mode only): the detached mine reads it instead of
-	// rebuilding from the window, and an abandoned mine strands only the
-	// copy, never the miner's live tree.
-	frozen *fpgrowth.FrozenTree
-	// rebuilt records whether Maintain fell back to a full rebuild at this
-	// capture (rank drift or fragmentation) — surfaced so the serving loop
-	// can count fallback frequency.
-	rebuilt bool
 }
 
 // BeginView captures the current window. Must be called from the miner's
@@ -320,30 +244,13 @@ func (m *Miner) BeginView() *PendingView {
 		window = append(window, m.ring[m.next:]...)
 	}
 	window = append(window, m.ring[:m.next]...)
-	pv := &PendingView{
+	return &PendingView{
 		cfg:     m.cfg,
 		catalog: m.catalog.Clone(),
 		window:  window,
 		total:   m.total,
 	}
-	if m.inc != nil {
-		// Maintenance (drift check, possible rebuild) runs here in the
-		// owner goroutine; the detached mine only ever reads its frozen
-		// copy.
-		pv.rebuilt = m.inc.Maintain()
-		pv.frozen = m.inc.Freeze()
-	}
-	return pv
 }
-
-// Incremental reports whether this capture mines a maintained tree rather
-// than rebuilding one from the window.
-func (pv *PendingView) Incremental() bool { return pv.frozen != nil }
-
-// Rebuilt reports whether capturing this view forced a full tree rebuild
-// (rank-drift or fragmentation fallback). Always false outside incremental
-// mode.
-func (pv *PendingView) Rebuilt() bool { return pv.rebuilt }
 
 // Mine runs the capture to completion. Safe to call on any goroutine; the
 // result is identical to what Miner.View would have returned at capture
@@ -353,14 +260,8 @@ func (pv *PendingView) Mine() *View {
 	for i, txn := range pv.window {
 		window[i] = itemset.Set(txn)
 	}
-	var rs []rules.Rule
-	if pv.frozen != nil {
-		rs = mineFrozen(pv.cfg, pv.frozen, len(pv.window))
-	} else {
-		rs = mineWindow(pv.cfg, pv.catalog, pv.window)
-	}
 	return &View{
-		Rules:     rs,
+		Rules:     mineWindow(pv.cfg, pv.catalog, pv.window),
 		Catalog:   pv.catalog,
 		WindowLen: len(pv.window),
 		Total:     pv.total,

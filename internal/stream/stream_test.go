@@ -1,12 +1,15 @@
 package stream
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/fpgrowth"
 	"repro/internal/itemset"
 	"repro/internal/rules"
 	"repro/internal/stats"
+	"repro/internal/transaction"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -19,6 +22,23 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if m.cfg.MinSupport != 0.05 || m.cfg.MaxLen != 5 || m.cfg.MinLift != 1.5 {
 		t.Errorf("defaults not applied: %+v", m.cfg)
+	}
+}
+
+func TestMinCount(t *testing.T) {
+	for _, c := range []struct {
+		support float64
+		n, want int
+	}{
+		{0.05, 0, 1},   // empty window still needs one occurrence
+		{0.05, 10, 1},  // ceil(0.5)
+		{0.05, 100, 5}, // exact
+		{0.05, 101, 6}, // rounds up
+		{0.5, 3, 2},
+	} {
+		if got := MinCount(c.support, c.n); got != c.want {
+			t.Errorf("MinCount(%v, %d) = %d, want %d", c.support, c.n, got, c.want)
+		}
 	}
 }
 
@@ -422,22 +442,28 @@ func TestViewCarriesWindow(t *testing.T) {
 	}
 }
 
-// TestIncrementalSnapshotEquivalence interleaves observe/evict/mine over an
-// incremental miner and a plain one fed the identical stream: every
-// snapshot, and every published View, must be rule-for-rule identical. The
-// schedule wraps the ring several times so eviction decrements, drift
-// maintenance and (possibly) rebuild fallbacks all run mid-stream.
-func TestIncrementalSnapshotEquivalence(t *testing.T) {
+// TestSnapshotBatchOracle interleaves observe/evict/mine and checks every
+// snapshot, and every published View, against batch mining of the exported
+// window: FP-Growth over a database built from Export, then rule
+// generation, with the support count computed here rather than by the
+// package. The schedule wraps the ring several times so eviction runs
+// mid-stream.
+func TestSnapshotBatchOracle(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		cfg := Config{WindowSize: 150, MinSupport: 0.04, MinLift: 1.1, Workers: 1}
-		plain, err := New(nil, cfg)
+		m, err := New(nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Incremental = true
-		incr, err := New(nil, cfg)
-		if err != nil {
-			t.Fatal(err)
+		oracle := func() []rules.Rule {
+			txns, _ := m.Export()
+			db := transaction.NewDB(m.Catalog())
+			for _, txn := range txns {
+				db.AddCanonical(txn)
+			}
+			minCount := int(math.Ceil(cfg.MinSupport * float64(db.Len())))
+			frequent := fpgrowth.Mine(db, fpgrowth.Options{MinCount: minCount, MaxLen: 5, Workers: 1})
+			return rules.Generate(frequent, db.Len(), rules.Options{MinLift: cfg.MinLift, Workers: 1})
 		}
 		g := stats.NewRNG(700 + seed)
 		names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
@@ -451,59 +477,24 @@ func TestIncrementalSnapshotEquivalence(t *testing.T) {
 			if len(txn) > 0 && txn[0] == "a" && g.Bernoulli(0.8) {
 				txn = append(txn, "b")
 			}
-			plain.ObserveNames(txn...)
-			incr.ObserveNames(txn...)
+			m.ObserveNames(txn...)
 			if g.Intn(40) != 0 && i != 599 {
 				continue
 			}
-			want, got := plain.Snapshot(), incr.Snapshot()
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("seed %d step %d: incremental snapshot %d rules, plain %d",
-					seed, i, len(got), len(want))
+			want := oracle()
+			if len(want) == 0 {
+				t.Fatalf("seed %d step %d: oracle mined no rules; the schedule no longer exercises anything", seed, i)
 			}
-			wantView, gotView := plain.View(), incr.View()
-			if !reflect.DeepEqual(wantView.Rules, gotView.Rules) {
-				t.Fatalf("seed %d step %d: incremental view diverged", seed, i)
+			if got := m.Snapshot(); !reflect.DeepEqual(want, got) {
+				t.Fatalf("seed %d step %d: snapshot has %d rules, batch oracle %d", seed, i, len(got), len(want))
 			}
-			if gotView.WindowLen != wantView.WindowLen || gotView.Total != wantView.Total {
-				t.Fatalf("seed %d step %d: view occupancy diverged", seed, i)
+			v := m.View()
+			if !reflect.DeepEqual(want, v.Rules) {
+				t.Fatalf("seed %d step %d: view has %d rules, batch oracle %d", seed, i, len(v.Rules), len(want))
 			}
-		}
-	}
-}
-
-// TestIncrementalRestoreWindow: a restored incremental miner rebuilds its
-// tree from the imported window and keeps mining incrementally — snapshots
-// match a plain miner fed the same history, before and after post-restore
-// observations.
-func TestIncrementalRestoreWindow(t *testing.T) {
-	cfg := Config{WindowSize: 20, MinSupport: 0.2, Incremental: true}
-	src, err := New(nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 33; i++ { // wrapped ring
-		src.ObserveNames("x", "y")
-		src.ObserveNames("x")
-	}
-	txns, total := src.Export()
-	dst, err := New(src.Catalog().Clone(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.RestoreWindow(txns, total); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(src.Snapshot(), dst.Snapshot()) {
-		t.Fatal("restored incremental miner mines different rules")
-	}
-	// Keep streaming on both: the restored tree must absorb evictions of
-	// restored transactions it never saw via Observe.
-	for i := 0; i < 30; i++ {
-		src.ObserveNames("y", "z")
-		dst.ObserveNames("y", "z")
-		if !reflect.DeepEqual(src.Snapshot(), dst.Snapshot()) {
-			t.Fatalf("step %d: post-restore snapshots diverged", i)
+			if v.WindowLen != m.Len() || v.Total != i+1 {
+				t.Fatalf("seed %d step %d: view occupancy %d/%d, want %d/%d", seed, i, v.WindowLen, v.Total, m.Len(), i+1)
+			}
 		}
 	}
 }

@@ -58,8 +58,9 @@ gate() {
 mining_ns() { jq -r --arg n "$1" '.current[] | select(.name == $n) | .ns_per_op' BENCH_mining.json; }
 serving_ns() { jq -r --arg n "$1" '.results[].after | select(.name == $n) | .ns_per_op' BENCH_serving.json; }
 
-# The headline set: the windowed-delta incremental mine (the steady-state
-# serving cost), the end-to-end PAI miner, and both indexed read paths.
+# The headline set: the windowed-delta mine of the fpgrowth.Incremental
+# library, the end-to-end PAI miner (the per-mine rebuild the serving loop
+# runs), and both indexed read paths.
 gate ./internal/fpgrowth 'BenchmarkIncrementalMine/incremental$' \
     'BenchmarkIncrementalMine/incremental' "$(mining_ns BenchmarkIncrementalMine/incremental)"
 gate . 'BenchmarkMinerFPGrowth$' \
