@@ -146,18 +146,17 @@ func main() {
 	}
 	// Any multi-tenant knob selects cluster mode: quotas need the tenant
 	// router even with a single shard behind it.
+	var ccfg *shard.Config
 	if *shards > 1 || *tenantQuota > 0 {
-		err = runCluster(*addr, shard.Config{
+		ccfg = &shard.Config{
 			Shards:      *shards,
 			TenantField: *tenantField,
 			QuotaLimit:  *tenantQuota,
 			QuotaWindow: *quotaWindow,
 			Shard:       cfg,
-		})
-	} else {
-		err = run(*addr, cfg)
+		}
 	}
-	if err != nil {
+	if err := start(*addr, cfg, ccfg); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
@@ -251,99 +250,77 @@ func splitList(s string) []string {
 	return out
 }
 
-// runCluster is run for sharded mode: same listen/drain lifecycle, with the
-// cluster fanning the shutdown out to every shard miner.
-func runCluster(addr string, ccfg shard.Config) error {
-	c, err := shard.New(ccfg)
+// start builds the single server — or, when ccfg is non-nil, the shard
+// cluster over cfg — announces it, and serves it until a signal.
+func start(addr string, cfg server.Config, ccfg *shard.Config) error {
+	if ccfg == nil {
+		s, err := server.New(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("serve: window %d, mine every %s or %d jobs\n", cfg.WindowSize, cfg.MineInterval, cfg.MineBatch)
+		announceDurability(cfg, "")
+		return run(addr, s.Handler(), s.Stop, s.Snapshot)
+	}
+	c, err := shard.New(*ccfg)
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Addr: addr, Handler: c.Handler()}
-	errCh := make(chan error, 1)
-	go func() {
-		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-		}
-	}()
-	fmt.Printf("serve: listening on %s (%d shards, tenant field %q)\n", addr, c.Shards(), ccfg.TenantField)
+	fmt.Printf("serve: %d shards, tenant field %q\n", c.Shards(), ccfg.TenantField)
 	if ccfg.QuotaLimit > 0 {
 		fmt.Printf("serve: tenant quota %d events per %s\n", ccfg.QuotaLimit, ccfg.QuotaWindow)
 	}
-	if ccfg.Shard.StateDir != "" {
-		fmt.Printf("serve: durable per-shard state under %s\n", ccfg.Shard.StateDir)
+	announceDurability(cfg, "per-shard ")
+	merged := func() *server.Snapshot {
+		snap, _ := c.Merged()
+		return snap
 	}
-	if ccfg.Shard.WALDir != "" {
-		fmt.Printf("serve: per-shard write-ahead logs under %s (fsync=%s)\n", ccfg.Shard.WALDir, ccfg.Shard.Fsync)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Println("serve: shutting down, draining every shard")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	// Drain before Shutdown: stopping the cluster closes the watch hubs,
-	// which ends the open /v1/drift/watch streams — otherwise Shutdown
-	// would wait its whole timeout on them.
-	if err := c.Stop(shutdownCtx); err != nil {
-		return err
-	}
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return err
-	}
-	if snap, _ := c.Merged(); snap != nil {
-		fmt.Printf("serve: final merged snapshot seq=%d rules=%d window=%d observed=%d\n",
-			snap.Seq, len(snap.View.Rules), snap.View.WindowLen, snap.View.Total)
-	}
-	return nil
+	return run(addr, c.Handler(), c.Stop, merged)
 }
 
-func run(addr string, cfg server.Config) error {
-	s, err := server.New(cfg)
-	if err != nil {
-		return err
+// announceDurability prints where checkpoints and the WAL live; scope
+// qualifies them for the cluster, whose shards each keep their own.
+func announceDurability(cfg server.Config, scope string) {
+	if cfg.StateDir != "" {
+		fmt.Printf("serve: %sdurable state in %s (checkpoint every %d mines and at drain)\n", scope, cfg.StateDir, cfg.CheckpointEvery)
 	}
-	httpSrv := &http.Server{Addr: addr, Handler: s.Handler()}
+	if cfg.WALDir != "" {
+		fmt.Printf("serve: %swrite-ahead log in %s (fsync=%s)\n", scope, cfg.WALDir, cfg.Fsync)
+	}
+}
+
+// run serves h on addr until SIGINT or SIGTERM, then drains: stop flushes
+// the mining loops, and final is the snapshot reported on the way out.
+func run(addr string, h http.Handler, stop func(context.Context) error, final func() *server.Snapshot) error {
+	httpSrv := &http.Server{Addr: addr, Handler: h}
 	errCh := make(chan error, 1)
 	go func() {
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}
 	}()
-	fmt.Printf("serve: listening on %s (window %d, mine every %s or %d jobs)\n",
-		addr, cfg.WindowSize, cfg.MineInterval, cfg.MineBatch)
-	if cfg.StateDir != "" {
-		fmt.Printf("serve: durable state in %s (checkpoint every %d mines and at drain)\n",
-			cfg.StateDir, cfg.CheckpointEvery)
-	}
-	if cfg.WALDir != "" {
-		fmt.Printf("serve: write-ahead log in %s (fsync=%s)\n", cfg.WALDir, cfg.Fsync)
-	}
+	fmt.Printf("serve: listening on %s\n", addr)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
 	select {
 	case err := <-errCh:
 		return err
 	case <-ctx.Done():
 	}
 	fmt.Println("serve: shutting down, draining ingest queue")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	// Drain before Shutdown: Stop closes the watch hub, ending the open
+	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancelShutdown()
+	// Drain before Shutdown: stop closes the watch hubs, ending the open
 	// /v1/drift/watch streams — otherwise Shutdown would wait its whole
 	// timeout on them.
-	if err := s.Stop(shutdownCtx); err != nil {
+	if err := stop(shutdownCtx); err != nil {
 		return err
 	}
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		return err
 	}
-	if snap := s.Snapshot(); snap != nil {
+	if snap := final(); snap != nil {
 		fmt.Printf("serve: final snapshot seq=%d rules=%d window=%d observed=%d\n",
 			snap.Seq, len(snap.View.Rules), snap.View.WindowLen, snap.View.Total)
 	}

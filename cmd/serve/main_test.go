@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -21,9 +22,9 @@ import (
 )
 
 // TestMain doubles as the child process for the SIGTERM test: when
-// SERVE_CHILD=1 the test binary runs a real serve daemon (the same run()
-// main uses) instead of the test suite, so the parent can exercise actual
-// signal delivery across a process boundary.
+// SERVE_CHILD=1 the test binary runs a real serve daemon (the same start()
+// main uses, sharded when SERVE_SHARDS > 1) instead of the test suite, so
+// the parent can exercise actual signal delivery across a process boundary.
 func TestMain(m *testing.M) {
 	if os.Getenv("SERVE_CHILD") == "1" {
 		childMain()
@@ -43,7 +44,11 @@ func childMain() {
 		fmt.Fprintln(os.Stderr, "child:", err)
 		os.Exit(1)
 	}
-	if err := run(os.Getenv("SERVE_ADDR"), cfg); err != nil {
+	var ccfg *shard.Config
+	if n, _ := strconv.Atoi(os.Getenv("SERVE_SHARDS")); n > 1 {
+		ccfg = &shard.Config{Shards: n, Shard: cfg}
+	}
+	if err := start(os.Getenv("SERVE_ADDR"), cfg, ccfg); err != nil {
 		fmt.Fprintln(os.Stderr, "child:", err)
 		os.Exit(1)
 	}
@@ -52,11 +57,18 @@ func childMain() {
 
 // TestSIGTERMGracefulDrain sends a real SIGTERM to a real serve process and
 // requires a clean exit that drained the queue: every ingested event must
-// be in the final snapshot the shutdown path prints.
+// be in the final snapshot the shutdown path prints. The single server and
+// a 2-shard cluster share that lifecycle, so both run it.
 func TestSIGTERMGracefulDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a child process")
 	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testSIGTERMGracefulDrain(t, shards) })
+	}
+}
+
+func testSIGTERMGracefulDrain(t *testing.T, shards int) {
 	// Reserve a port for the child. Closing the listener races with the
 	// child's bind in principle, but the window is tiny and local.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -67,7 +79,7 @@ func TestSIGTERMGracefulDrain(t *testing.T) {
 	l.Close()
 
 	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), "SERVE_CHILD=1", "SERVE_ADDR="+addr)
+	cmd.Env = append(os.Environ(), "SERVE_CHILD=1", "SERVE_ADDR="+addr, fmt.Sprintf("SERVE_SHARDS=%d", shards))
 	var out bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &out
@@ -92,7 +104,7 @@ func TestSIGTERMGracefulDrain(t *testing.T) {
 
 	var body bytes.Buffer
 	for i := 0; i < 40; i++ {
-		fmt.Fprintf(&body, `{"node":"n%d","status":"ok"}`+"\n", i%4)
+		fmt.Fprintf(&body, `{"tenant":"t%d","node":"n%d","status":"ok"}`+"\n", i%3, i%4)
 	}
 	resp, err := http.Post(base+"/v1/jobs", "application/x-ndjson", &body)
 	if err != nil {

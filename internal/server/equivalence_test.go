@@ -24,7 +24,7 @@ import (
 // path must be byte-identical to this for every input.
 func writeRulesLinear(w http.ResponseWriter, r *http.Request, snap *Snapshot, p RulesParams) {
 	if snap == nil {
-		httpError(w, http.StatusServiceUnavailable, "no snapshot mined yet; ingest jobs and retry")
+		WriteError(w, http.StatusServiceUnavailable, "no snapshot mined yet; ingest jobs and retry")
 		return
 	}
 	if p.CLift == 0 {
@@ -35,7 +35,7 @@ func writeRulesLinear(w http.ResponseWriter, r *http.Request, snap *Snapshot, p 
 	}
 	q, err := parseRuleQuery(r.URL.Query())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	etag := p.ETag
@@ -67,7 +67,7 @@ func writeRulesLinear(w http.ResponseWriter, r *http.Request, snap *Snapshot, p 
 	}
 	if q.keyword == "" {
 		resp.Rules = rules.ManyToJSON(applyQuery(view.Rules, q), view.Catalog)
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	item, name, err := resolveKeyword(view.Catalog, q.keyword)
@@ -76,7 +76,7 @@ func writeRulesLinear(w http.ResponseWriter, r *http.Request, snap *Snapshot, p 
 		if strings.Contains(err.Error(), "ambiguous") {
 			status = http.StatusBadRequest
 		}
-		httpError(w, status, "%v", err)
+		WriteError(w, status, "%v", err)
 		return
 	}
 	resp.Keyword = name
@@ -99,7 +99,7 @@ func writeRulesLinear(w http.ResponseWriter, r *http.Request, snap *Snapshot, p 
 	if q.kind == "" || q.kind == "all" || q.kind == "characteristic" {
 		resp.Characteristic = rules.ManyToJSON(applyQuery(split.Characteristic, q), view.Catalog)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // resolveKeyword is the linear reference for RuleIndex.Resolve: exact item

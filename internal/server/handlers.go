@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/itemset"
 	"repro/internal/rules"
 	"repro/internal/stream"
 )
@@ -25,14 +26,17 @@ const maxLineBytes = 1 << 20
 // maxReportedErrors caps the per-line error list in ingest responses.
 const maxReportedErrors = 10
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response with the given status — the one
+// response writer of the server and the shard cluster.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError writes {"error": <formatted message>} with the given status.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // lineError reports one rejected ingest line.
@@ -43,15 +47,18 @@ type lineError struct {
 
 // ingestResult is the POST /v1/jobs response body.
 type ingestResult struct {
-	Accepted int         `json:"accepted"`
-	Rejected int         `json:"rejected"`
-	Errors   []lineError `json:"errors,omitempty"`
-	// Dropped flags a 429, a WAL failure, or an unreadable body: ingest
+	Accepted int `json:"accepted"`
+	Rejected int `json:"rejected"`
+	// QuotaRejected counts lines refused by a tenant quota (cluster only):
+	// well-formed, but over the tenant's window.
+	QuotaRejected int         `json:"quota_rejected,omitempty"`
+	Errors        []lineError `json:"errors,omitempty"`
+	// DroppedAtLine flags a 429, a 503, or an unreadable body: ingest
 	// stopped at this 1-based line and the rest of the body was not read.
 	// Re-send from here after backoff.
 	DroppedAtLine int `json:"dropped_at_line,omitempty"`
-	// Error describes why ingest stopped mid-body (for a 400 whose earlier
-	// lines were already committed — those counts stand).
+	// Error describes why ingest stopped mid-body (for a 400 or 503 whose
+	// earlier lines were already committed — those counts stand).
 	Error string `json:"error,omitempty"`
 }
 
@@ -68,61 +75,94 @@ func (s *Server) retryAfterSeconds() int {
 
 // handleIngest accepts NDJSON (default) or CSV (Content-Type text/csv) job
 // events, validates each against the spec, and enqueues them for the
-// mining loop. A full queue stops the read and returns 429 so the client
-// carries the backpressure, not an unbounded buffer.
+// mining loop.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var res ingestResult
-	reject := func(line int, err error) {
-		res.Rejected++
+	ServeIngest(w, r, &Decoder{idx: s.idx}, s.ingest, s.RejectedLine, s.retryAfterSeconds())
+}
+
+// ingest validates one decoded event and enqueues it.
+func (s *Server) ingest(ev Event) error {
+	if err := s.idx.validate(ev); err != nil {
 		s.metrics.rejected.Add(1)
+		return err
+	}
+	return s.Enqueue(ev)
+}
+
+// ErrQuota marks an event refused by a per-tenant ingest quota. The shard
+// router returns it; ServeIngest counts such lines apart from malformed ones.
+var ErrQuota = errors.New("tenant quota exceeded")
+
+// ServeIngest answers one POST /v1/jobs request; the single server and the
+// shard cluster both serve ingest through it. dec parses the body. ingest is
+// called once per parsed event; it validates and enqueues the event and
+// counts its own refusals. unparsed is called once per line dec cannot
+// parse. A per-line error from ingest rejects that line and reading goes on;
+// ErrQueueFull (429 with a Retry-After of retryAfterSeconds), ErrWAL and
+// ErrDraining (503) stop it, so a full queue hands the backpressure to the
+// client instead of an unbounded buffer. A stopped or unreadable body is
+// answered with the partial result: the client resumes from DroppedAtLine
+// instead of re-sending, and double-counting, the accepted prefix.
+func ServeIngest(w http.ResponseWriter, r *http.Request, dec *Decoder, ingest func(Event) error, unparsed func(), retryAfterSeconds int) {
+	var res ingestResult
+	report := func(line int, err error) {
 		if len(res.Errors) < maxReportedErrors {
 			res.Errors = append(res.Errors, lineError{Line: line, Error: err.Error()})
 		}
 	}
-	// emit returns false when ingest must stop (queue full, drain begun,
-	// or WAL failure); the sentinel distinguishes them for the status code.
+	reject := func(line int, err error) {
+		res.Rejected++
+		unparsed()
+		report(line, err)
+	}
 	var stopErr error
 	emit := func(line int, ev Event) bool {
-		if err := s.idx.validate(ev); err != nil {
-			reject(line, err)
-			return true
-		}
-		if err := s.Enqueue(ev); err != nil {
+		err := ingest(ev)
+		switch {
+		case err == nil:
+			res.Accepted++
+		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrWAL), errors.Is(err, ErrDraining):
 			res.DroppedAtLine = line
 			stopErr = err
 			return false
+		case errors.Is(err, ErrQuota):
+			res.QuotaRejected++
+			report(line, err)
+		default:
+			res.Rejected++
+			report(line, err)
 		}
-		res.Accepted++
 		return true
 	}
 
-	_, readErr := decodeBody(s.idx, r.Header.Get("Content-Type"), r.Body, emit, reject)
+	_, readErr := dec.Decode(r.Header.Get("Content-Type"), r.Body, emit, reject)
+	status := http.StatusOK
 	switch {
 	case readErr != nil:
 		// The body became unreadable mid-stream (over-long line, transport
 		// error), but everything before that point was validated and
-		// enqueued — those events are committed. Answer 400 with the
-		// partial result so the client resumes from DroppedAtLine instead
-		// of re-sending (and double-counting) the accepted prefix.
+		// enqueued — those events are committed.
 		var re *ReadError
 		if errors.As(readErr, &re) {
 			res.DroppedAtLine = re.Line
 		}
 		res.Error = fmt.Sprintf("reading body: %v", readErr)
-		writeJSON(w, http.StatusBadRequest, res)
+		status = http.StatusBadRequest
 	case errors.Is(stopErr, ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
+		// The accepted prefix is mined at drain; the client re-sends from
+		// DroppedAtLine to another instance.
+		res.Error = "server is draining"
+		status = http.StatusServiceUnavailable
 	case errors.Is(stopErr, ErrWAL):
 		// The record was rolled back out of the WAL, so it is not
 		// durable: tell the client to re-send from DroppedAtLine once the
 		// disk recovers.
-		writeJSON(w, http.StatusServiceUnavailable, res)
+		status = http.StatusServiceUnavailable
 	case errors.Is(stopErr, ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeJSON(w, http.StatusTooManyRequests, res)
-	default:
-		writeJSON(w, http.StatusOK, res)
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+		status = http.StatusTooManyRequests
 	}
+	WriteJSON(w, status, res)
 }
 
 // Decoder parses ingest bodies (NDJSON or CSV) into Events under a Spec,
@@ -359,6 +399,42 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
+// notModified is the conditional-GET step of /v1/rules and /v1/drift, run
+// after their params validate: it sets the validator (etag, or
+// SnapshotETag(snap) when empty) and, for a positive maxAgeSeconds,
+// Cache-Control, then answers 304 when If-None-Match matches. It reports
+// whether the response is complete.
+func notModified(w http.ResponseWriter, r *http.Request, snap *Snapshot, etag string, maxAgeSeconds int) bool {
+	if etag == "" {
+		etag = SnapshotETag(snap)
+	}
+	w.Header().Set("ETag", etag)
+	if maxAgeSeconds > 0 {
+		w.Header().Set("Cache-Control", fmt.Sprintf("max-age=%d", maxAgeSeconds))
+	}
+	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return true
+	}
+	return false
+}
+
+// resolve maps a ?keyword= to its item. An ambiguous keyword is a client
+// error (400, naming the candidates); one that matches no item is a 404.
+// ok is false once that error response is written.
+func resolve(w http.ResponseWriter, ix *RuleIndex, keyword string) (item itemset.Item, name string, ok bool) {
+	item, name, err := ix.Resolve(keyword)
+	if err != nil {
+		status := http.StatusNotFound
+		if errors.Is(err, errAmbiguous) {
+			status = http.StatusBadRequest
+		}
+		WriteError(w, status, "%v", err)
+		return 0, "", false
+	}
+	return item, name, true
+}
+
 // ruleQuery is the validated shape of a /v1/rules request: result order,
 // metric floors, and the pagination window. The zero value (after
 // parseRuleQuery defaults) reproduces the original API byte for byte.
@@ -476,7 +552,7 @@ func snapIndex(snap *Snapshot) *RuleIndex {
 // analyses, so repeated queries cost O(result), not O(rules).
 func WriteRules(w http.ResponseWriter, r *http.Request, snap *Snapshot, p RulesParams) {
 	if snap == nil {
-		httpError(w, http.StatusServiceUnavailable, "no snapshot mined yet; ingest jobs and retry")
+		WriteError(w, http.StatusServiceUnavailable, "no snapshot mined yet; ingest jobs and retry")
 		return
 	}
 	if p.CLift == 0 {
@@ -487,19 +563,10 @@ func WriteRules(w http.ResponseWriter, r *http.Request, snap *Snapshot, p RulesP
 	}
 	q, err := parseRuleQuery(r.URL.Query())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	etag := p.ETag
-	if etag == "" {
-		etag = SnapshotETag(snap)
-	}
-	w.Header().Set("ETag", etag)
-	if p.MaxAgeSeconds > 0 {
-		w.Header().Set("Cache-Control", fmt.Sprintf("max-age=%d", p.MaxAgeSeconds))
-	}
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-		w.WriteHeader(http.StatusNotModified)
+	if notModified(w, r, snap, p.ETag, p.MaxAgeSeconds) {
 		return
 	}
 
@@ -521,16 +588,11 @@ func WriteRules(w http.ResponseWriter, r *http.Request, snap *Snapshot, p RulesP
 	}
 	if q.keyword == "" {
 		resp.Rules = rules.ManyToJSON(ix.collect(q), view.Catalog)
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 		return
 	}
-	item, name, err := ix.Resolve(q.keyword)
-	if err != nil {
-		status := http.StatusNotFound
-		if strings.Contains(err.Error(), "ambiguous") {
-			status = http.StatusBadRequest
-		}
-		httpError(w, status, "%v", err)
+	item, name, ok := resolve(w, ix, q.keyword)
+	if !ok {
 		return
 	}
 	resp.Keyword = name
@@ -547,7 +609,7 @@ func WriteRules(w http.ResponseWriter, r *http.Request, snap *Snapshot, p RulesP
 	if q.kind == "" || q.kind == "all" || q.kind == "characteristic" {
 		resp.Characteristic = rules.ManyToJSON(applyQuery(split.Characteristic, q), view.Catalog)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // driftResponse is the GET /v1/drift body: the structural rule diff
@@ -584,37 +646,23 @@ type DriftParams struct {
 // validation, so malformed requests still fail loudly).
 func WriteDrift(w http.ResponseWriter, r *http.Request, snap *Snapshot, p DriftParams) {
 	if snap == nil {
-		httpError(w, http.StatusServiceUnavailable, "no snapshot mined yet; ingest jobs and retry")
+		WriteError(w, http.StatusServiceUnavailable, "no snapshot mined yet; ingest jobs and retry")
 		return
 	}
 	q := r.URL.Query()
 	limit, err := intParam(q.Get("limit"), 50)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "limit: %v", err)
+		WriteError(w, http.StatusBadRequest, "limit: %v", err)
 		return
 	}
-	etag := p.ETag
-	if etag == "" {
-		etag = SnapshotETag(snap)
-	}
-	w.Header().Set("ETag", etag)
-	if p.MaxAgeSeconds > 0 {
-		w.Header().Set("Cache-Control", fmt.Sprintf("max-age=%d", p.MaxAgeSeconds))
-	}
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-		w.WriteHeader(http.StatusNotModified)
+	if notModified(w, r, snap, p.ETag, p.MaxAgeSeconds) {
 		return
 	}
 	delta := snap.Delta
 	resp := driftResponse{Seq: snap.Seq, PrevSeq: snap.PrevSeq, Jaccard: delta.Jaccard}
 	if keyword := q.Get("keyword"); keyword != "" {
-		item, name, err := snapIndex(snap).Resolve(keyword)
-		if err != nil {
-			status := http.StatusNotFound
-			if strings.Contains(err.Error(), "ambiguous") {
-				status = http.StatusBadRequest
-			}
-			httpError(w, status, "%v", err)
+		item, name, ok := resolve(w, snapIndex(snap), keyword)
+		if !ok {
 			return
 		}
 		resp.Keyword = name
@@ -622,7 +670,7 @@ func WriteDrift(w http.ResponseWriter, r *http.Request, snap *Snapshot, p DriftP
 	}
 	resp.Appeared = rules.ManyToJSON(truncate(delta.Appeared, limit), snap.View.Catalog)
 	resp.Vanished = rules.ManyToJSON(truncate(delta.Vanished, limit), snap.View.Catalog)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // Health is the programmatic form of /healthz — the per-shard unit a
@@ -670,7 +718,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if h.Status == "draining" {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	WriteJSON(w, status, h)
 }
 
 // Metrics returns the /metrics counters and gauges as a flat JSON-ready
@@ -678,7 +726,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) Metrics() map[string]any { return s.metricsView() }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.metricsView())
+	WriteJSON(w, http.StatusOK, s.metricsView())
 }
 
 func intParam(raw string, def int) (int, error) {

@@ -9,6 +9,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -28,6 +29,10 @@ const analysisCacheCap = 64
 
 // resolveCacheCap bounds the keyword-resolution cache.
 const resolveCacheCap = 256
+
+// errAmbiguous is wrapped by Resolve when a keyword is a substring of more
+// than one item name; handlers answer it 400 rather than 404.
+var errAmbiguous = errors.New("ambiguous")
 
 // RuleIndex is the precomputed read-path structure published alongside a
 // Snapshot: an inverted item→rule posting list, pre-sorted metric orders
@@ -315,6 +320,6 @@ func (rv *resolver) lookup(keyword string) resolution {
 		if len(matches) > 8 {
 			matches = append(matches[:8], "…")
 		}
-		return resolution{err: fmt.Errorf("keyword %q is ambiguous: %s", keyword, strings.Join(matches, ", "))}
+		return resolution{err: fmt.Errorf("keyword %q is %w: %s", keyword, errAmbiguous, strings.Join(matches, ", "))}
 	}
 }

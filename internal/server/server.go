@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/rules"
 	"repro/internal/stream"
 	"repro/internal/wal"
 )
@@ -712,34 +713,35 @@ func (s *Server) degrade(code int32) {
 	}
 }
 
-// publish swaps in a freshly mined snapshot.
-func (s *Server) publish(view *stream.View, took time.Duration) {
-	prev := s.snap.Load()
-	var delta stream.Delta
-	// The first mine is seq 1 on a cold start; after a restore it
-	// republishes the checkpointed window under its recorded seq, so
-	// numbering continues exactly where the previous instance stopped.
-	seq := int64(1)
-	prevSeq := int64(0)
-	if s.seqBase > 0 {
-		seq = s.seqBase
-	}
-	if prev != nil {
-		delta = stream.Diff(prev.View.Rules, view.Rules)
-		seq = prev.Seq + 1
-		prevSeq = prev.Seq
-	} else {
-		delta = stream.Diff(nil, view.Rules)
-	}
+// NewSnapshot assembles the snapshot published after prev (nil before the
+// first): numbered prev.Seq+1, or first when there is no prev, with the rule
+// diff against prev and the read index over view. The single server's mines
+// and the shard cluster's merges both publish through it.
+func NewSnapshot(prev *Snapshot, first int64, view *stream.View, minedAt time.Time, took time.Duration, stale bool) *Snapshot {
 	snap := &Snapshot{
-		Seq:          seq,
-		PrevSeq:      prevSeq,
-		MinedAt:      s.clock.Now(),
+		Seq:          first,
+		MinedAt:      minedAt,
 		MineDuration: took,
 		View:         view,
 		Index:        NewRuleIndex(view),
-		Delta:        delta,
+		Stale:        stale,
 	}
+	var prevRules []rules.Rule
+	if prev != nil {
+		snap.Seq = prev.Seq + 1
+		snap.PrevSeq = prev.Seq
+		prevRules = prev.View.Rules
+	}
+	snap.Delta = stream.Diff(prevRules, view.Rules)
+	return snap
+}
+
+// publish swaps in a freshly mined snapshot. The first mine is seq 1 on a
+// cold start; after a restore it republishes the checkpointed window under
+// its recorded seq, so numbering continues exactly where the previous
+// instance stopped.
+func (s *Server) publish(view *stream.View, took time.Duration) {
+	snap := NewSnapshot(s.snap.Load(), max(s.seqBase, 1), view, s.clock.Now(), took, false)
 	// A clean mine ends any degraded state. Clear the flag before the swap,
 	// so a reader that sees the new seq never sees the old failure.
 	s.metrics.degraded.Store(degradedNone)

@@ -501,14 +501,23 @@ func TestRulesHandlerParams(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if code := getJSON(t, ts.URL+"/v1/rules?limit=bogus", nil); code != http.StatusBadRequest {
-		t.Errorf("bad limit = %d", code)
-	}
-	if code := getJSON(t, ts.URL+"/v1/rules?kind=bogus", nil); code != http.StatusBadRequest {
-		t.Errorf("bad kind = %d", code)
-	}
-	if code := getJSON(t, ts.URL+"/v1/rules?keyword=zzzznothing", nil); code != http.StatusNotFound {
-		t.Errorf("unknown keyword = %d", code)
+	for _, c := range []struct {
+		path string
+		want int
+	}{
+		{"/v1/rules?limit=bogus", http.StatusBadRequest},
+		{"/v1/rules?kind=bogus", http.StatusBadRequest},
+		{"/v1/rules?keyword=zzzznothing", http.StatusNotFound},
+		{"/v1/drift?keyword=zzzznothing", http.StatusNotFound},
+		{"/v1/drift?keyword=f", http.StatusBadRequest},
+		// The status follows the error's kind, not its text: a keyword
+		// spelled "ambiguous" that names no item is still a 404.
+		{"/v1/rules?keyword=ambiguous", http.StatusNotFound},
+		{"/v1/drift?keyword=ambiguous", http.StatusNotFound},
+	} {
+		if code := getJSON(t, ts.URL+c.path, nil); code != c.want {
+			t.Errorf("%s = %d, want %d", c.path, code, c.want)
+		}
 	}
 	// "f" is a substring of several items (fw=tf, status=failed, ...):
 	// ambiguous resolution is a client error naming candidates.

@@ -241,19 +241,19 @@ func ServeWatch(w http.ResponseWriter, r *http.Request, hub *WatchHub) {
 	if lastRaw != "" {
 		v, err := strconv.ParseInt(lastRaw, 10, 64)
 		if err != nil || v < 0 {
-			httpError(w, http.StatusBadRequest, "last_event_id: want a non-negative snapshot seq, got %q", lastRaw)
+			WriteError(w, http.StatusBadRequest, "last_event_id: want a non-negative snapshot seq, got %q", lastRaw)
 			return
 		}
 		afterSeq = v
 	}
 	mode := q.Get("mode")
 	if mode != "" && mode != "sse" && mode != "poll" {
-		httpError(w, http.StatusBadRequest, "mode must be sse or poll")
+		WriteError(w, http.StatusBadRequest, "mode must be sse or poll")
 		return
 	}
 	waitS, err := intParam(q.Get("wait_s"), 30)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "wait_s: %v", err)
+		WriteError(w, http.StatusBadRequest, "wait_s: %v", err)
 		return
 	}
 	if waitS > 60 {
@@ -350,5 +350,5 @@ func serveWatchPoll(w http.ResponseWriter, r *http.Request, hub *WatchHub, after
 		}
 	}
 done:
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -1,109 +1,22 @@
 package shard
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/server"
 )
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// maxReportedErrors caps the per-line error list in ingest responses,
-// matching the single-server limit.
-const maxReportedErrors = 10
-
-type lineError struct {
-	Line  int    `json:"line"`
-	Error string `json:"error"`
-}
-
-// ingestResult is the cluster's POST /v1/jobs response: the single-server
-// shape plus a quota_rejected count, since a multi-tenant batch can be
-// partially over quota without being malformed.
-type ingestResult struct {
-	Accepted      int         `json:"accepted"`
-	Rejected      int         `json:"rejected"`
-	QuotaRejected int         `json:"quota_rejected,omitempty"`
-	Errors        []lineError `json:"errors,omitempty"`
-	DroppedAtLine int         `json:"dropped_at_line,omitempty"`
-	// Error describes why ingest stopped mid-body (for a 400 whose earlier
-	// lines were already committed — those counts stand).
-	Error string `json:"error,omitempty"`
-}
-
 // handleIngest decodes the batch once at the front tier, then routes each
-// event to its tenant's shard. Per-line failures (bad parse, bad tenant
-// key, validation, quota) are reported and skipped so one tenant's problem
-// never blocks another tenant's events in the same batch; shard
-// backpressure and durability failures stop the read with the same status
-// codes the single server uses.
+// event to its tenant's shard through the server's own ingest front. Per-line
+// failures (bad parse, bad tenant key, validation, quota) are reported and
+// skipped so one tenant's problem never blocks another tenant's events in
+// the same batch. Every shard shares MineInterval, so any shard's
+// Retry-After hint is the cluster's.
 func (c *Cluster) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var res ingestResult
-	reject := func(line int, err error) {
-		res.Rejected++
-		if len(res.Errors) < maxReportedErrors {
-			res.Errors = append(res.Errors, lineError{Line: line, Error: err.Error()})
-		}
-	}
-	var stopErr error
-	var retryShard int
-	emit := func(line int, ev server.Event) bool {
-		err := c.Ingest(ev)
-		switch {
-		case err == nil:
-			res.Accepted++
-		case errors.Is(err, ErrQuota):
-			res.QuotaRejected++
-			reject(line, err)
-			res.Rejected-- // quota refusals are counted on their own
-		case errors.Is(err, server.ErrDraining), errors.Is(err, server.ErrWAL), errors.Is(err, server.ErrQueueFull):
-			res.DroppedAtLine = line
-			stopErr = err
-			if tenant, terr := c.Tenant(ev); terr == nil {
-				retryShard = c.ShardFor(tenant)
-			}
-			return false
-		default:
-			reject(line, err)
-		}
-		return true
-	}
-	_, readErr := c.dec.Decode(r.Header.Get("Content-Type"), r.Body, emit, reject)
-	switch {
-	case readErr != nil:
-		// Events routed before the body broke are committed on their
-		// shards; answer with the partial result so the client resumes from
-		// DroppedAtLine instead of re-sending them.
-		var re *server.ReadError
-		if errors.As(readErr, &re) {
-			res.DroppedAtLine = re.Line
-		}
-		res.Error = fmt.Sprintf("reading body: %v", readErr)
-		writeJSON(w, http.StatusBadRequest, res)
-	case errors.Is(stopErr, server.ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-	case errors.Is(stopErr, server.ErrWAL):
-		writeJSON(w, http.StatusServiceUnavailable, res)
-	case errors.Is(stopErr, server.ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(c.shards[retryShard].RetryAfterSeconds()))
-		writeJSON(w, http.StatusTooManyRequests, res)
-	default:
-		writeJSON(w, http.StatusOK, res)
-	}
+	server.ServeIngest(w, r, c.dec, c.Ingest, func() { c.rejected.Add(1) }, c.maxAgeSeconds())
 }
 
 // handleRules serves the merged view: the SON-exact union of every shard's
@@ -143,7 +56,7 @@ func (c *Cluster) handleWatch(w http.ResponseWriter, r *http.Request) {
 func (c *Cluster) handleTenantWatch(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
 	if strings.TrimSpace(tenant) == "" {
-		httpError(w, http.StatusBadRequest, "empty tenant")
+		server.WriteError(w, http.StatusBadRequest, "empty tenant")
 		return
 	}
 	server.ServeWatch(w, r, c.shards[c.ShardFor(tenant)].Watch())
@@ -156,7 +69,7 @@ func (c *Cluster) handleTenantWatch(w http.ResponseWriter, r *http.Request) {
 func (c *Cluster) handleTenantRules(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
 	if strings.TrimSpace(tenant) == "" {
-		httpError(w, http.StatusBadRequest, "empty tenant")
+		server.WriteError(w, http.StatusBadRequest, "empty tenant")
 		return
 	}
 	shard := c.ShardFor(tenant)
@@ -196,7 +109,7 @@ func (c *Cluster) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			status = http.StatusServiceUnavailable
 		}
 	}
-	writeJSON(w, status, ch)
+	server.WriteJSON(w, status, ch)
 }
 
 // tenantMetrics is one tenant's block in the JSON /metrics body.
@@ -228,7 +141,7 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for i, s := range c.shards {
 		shards[i] = s.Metrics()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"shards":                    len(c.shards),
 		"tenant_field":              c.cfg.TenantField,
 		"rejected_total":            c.rejected.Load(),
@@ -292,14 +205,11 @@ func (c *Cluster) writePrometheus(w http.ResponseWriter) {
 	}
 	gauges := make([]shardGauge, len(c.shards))
 	for i, s := range c.shards {
-		m := s.Metrics()
-		if ms, ok := m["last_mine_ms"].(float64); ok {
-			gauges[i].dur = ms / 1e3
+		if snap := s.Snapshot(); snap != nil {
+			gauges[i].seq = snap.Seq
+			gauges[i].dur = snap.MineDuration.Seconds()
 		}
-		if v, ok := m["snapshot_seq"].(int64); ok {
-			gauges[i].seq = v
-		}
-		if v, ok := m["ingest_accepted"].(int64); ok {
+		if v, ok := s.Metrics()["ingest_accepted"].(int64); ok {
 			gauges[i].accepted = v
 		}
 		fmt.Fprintf(&b, "armine_shard_mine_duration_seconds{shard=\"%d\"} %g\n", i, gauges[i].dur)

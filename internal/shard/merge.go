@@ -133,30 +133,16 @@ func (c *Cluster) remerge(snaps []*server.Snapshot, key string) *mergedSnap {
 		WindowLen: totalLen,
 		Total:     totalObserved,
 	}
-	seq := int64(1)
-	prevSeq := int64(0)
-	var delta stream.Delta
-	if prev := c.merged.Load(); prev != nil {
-		seq = prev.snap.Seq + 1
-		prevSeq = prev.snap.Seq
-		delta = stream.Diff(prev.snap.View.Rules, rs)
-	} else {
-		delta = stream.Diff(nil, rs)
+	var prev *server.Snapshot
+	if m := c.merged.Load(); m != nil {
+		prev = m.snap
 	}
-	snap := &server.Snapshot{
-		Seq:          seq,
-		PrevSeq:      prevSeq,
-		MinedAt:      c.clock.Now(),
-		MineDuration: c.clock.Now().Sub(start),
-		View:         view,
-		// One index per merge-key: every request against this cached merge
-		// shares the posting lists, sort orders and analysis cache.
-		Index: server.NewRuleIndex(view),
-		Delta: delta,
-		Stale: stale,
-	}
+	// One index per merge-key: every request against this cached merge
+	// shares the posting lists, sort orders and analysis cache.
+	now := c.clock.Now()
+	snap := server.NewSnapshot(prev, 1, view, now, now.Sub(start), stale)
 	c.mergedWatch.Publish(snap)
-	return &mergedSnap{snap: snap, key: key, etag: mergedETag(seq, key)}
+	return &mergedSnap{snap: snap, key: key, etag: mergedETag(snap.Seq, key)}
 }
 
 // mergedETag derives the merged view's cache validator: the merge seq plus

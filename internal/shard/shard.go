@@ -303,8 +303,9 @@ func (c *Cluster) stats(tenant string) *tenantStats {
 	return ts
 }
 
-// ErrQuota reports an event refused by its tenant's ingest quota.
-var ErrQuota = errors.New("tenant quota exceeded")
+// ErrQuota reports an event refused by its tenant's ingest quota. It is the
+// server's sentinel, so the shared ingest front counts quota refusals apart.
+var ErrQuota = server.ErrQuota
 
 // Ingest validates, routes and enqueues one event — the programmatic form
 // of POST /v1/jobs. Validation and tenant-key errors mean the event was
