@@ -508,7 +508,7 @@ func applyQuery(rs []rules.Rule, q ruleQuery) []rules.Rule {
 	case "confidence":
 		order = sortedOrder(rs, func(r *rules.Rule) float64 { return r.Confidence })
 	}
-	out := make([]rules.Rule, 0, q.limit)
+	out := make([]rules.Rule, 0, min(q.limit, len(rs)))
 	skip := q.offset
 	for i := range rs {
 		r := &rs[i]

@@ -11,6 +11,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -79,9 +80,9 @@ type keywordAnalysis struct {
 	relevantSplit rules.Analysis
 }
 
-// NewRuleIndex builds the index for view. Cost is O(rules·len + items +
-// n log n) — negligible next to the mine that produced the view — and it
-// runs once per publish, never per request.
+// NewRuleIndex builds the index for view. Cost is O(rules·len + items)
+// integer work — the orders are radix sorted — and it runs once per
+// publish, never per request.
 func NewRuleIndex(view *stream.View) *RuleIndex {
 	items := 0
 	if view.Catalog != nil {
@@ -99,16 +100,81 @@ func NewRuleIndex(view *stream.View) *RuleIndex {
 }
 
 // sortedOrder returns rule indices sorted descending by key, stable over
-// the original order so ties keep their lift-descending rank. Sorting an
-// index permutation (and reading the key through a pointer) avoids moving
-// the fat Rule structs during the sort.
+// the original order so ties keep their lift-descending rank. Each key is
+// mapped once to an order-preserving uint64 and the permutation is radix
+// sorted, so no comparison reads a fat Rule struct. Keys must not be NaN:
+// support and confidence are ratios of positive counts.
 func sortedOrder(rs []rules.Rule, key func(r *rules.Rule) float64) []int32 {
-	order := make([]int32, len(rs))
-	for i := range order {
+	n := len(rs)
+	// One allocation holds the keys and the radix sort's scratch copy.
+	keys := make([]uint64, 2*n)
+	order := make([]int32, n)
+	for i := range rs {
+		k := key(&rs[i])
+		if k == 0 {
+			k = 0 // -0 ties with +0, as it does under >
+		}
+		b := math.Float64bits(k)
+		if b>>63 == 1 {
+			b = ^b
+		} else {
+			b |= 1 << 63
+		}
+		// b ascends with k; its complement ascends as k descends.
+		keys[i] = ^b
 		order[i] = int32(i)
 	}
-	sort.SliceStable(order, func(i, j int) bool { return key(&rs[order[i]]) > key(&rs[order[j]]) })
-	return order
+	return radixSort(keys[:n], keys[n:], order)
+}
+
+// radixBits is radixSort's digit width. Seven-bit digits cost as little as
+// bytes on a full rule table and keep the per-call bucket work small for
+// the ~50-rule keyword lists applyQuery sorts per request.
+const (
+	radixBits    = 7
+	radixBuckets = 1 << radixBits
+	radixDigits  = (64 + radixBits - 1) / radixBits
+)
+
+// radixSort sorts keys ascending by a stable LSD radix sort, carrying vals
+// along, and returns vals in that order: equal keys keep their input
+// order. scratch must be as long as keys; keys, scratch and vals are
+// clobbered, and the result may be vals or a fresh slice. One pass counts
+// every digit, and a digit all keys share is skipped.
+func radixSort(keys, scratch []uint64, vals []int32) []int32 {
+	n := len(keys)
+	if n < 2 {
+		return vals
+	}
+	var counts [radixDigits][radixBuckets]int32
+	for _, k := range keys {
+		for d := range counts {
+			counts[d][k>>(radixBits*d)&(radixBuckets-1)]++
+		}
+	}
+	src, srcV := keys, vals
+	dst, dstV := scratch, make([]int32, n)
+	for d := range counts {
+		c := &counts[d]
+		shift := radixBits * d
+		if int(c[src[0]>>shift&(radixBuckets-1)]) == n {
+			continue
+		}
+		sum := int32(0)
+		for b, cnt := range c {
+			c[b] = sum
+			sum += cnt
+		}
+		for i, k := range src {
+			b := k >> shift & (radixBuckets - 1)
+			dst[c[b]] = k
+			dstV[c[b]] = srcV[i]
+			c[b]++
+		}
+		src, dst = dst, src
+		srcV, dstV = dstV, srcV
+	}
+	return srcV
 }
 
 // order returns the precomputed permutation for a sort key; nil means the
@@ -131,7 +197,7 @@ func (ix *RuleIndex) order(sortKey string) []int32 {
 func (ix *RuleIndex) collect(q ruleQuery) []rules.Rule {
 	rs := ix.view.Rules
 	order := ix.order(q.sortKey)
-	out := make([]rules.Rule, 0, q.limit)
+	out := make([]rules.Rule, 0, min(q.limit, len(rs)))
 	skip := q.offset
 	for i := 0; i < len(rs); i++ {
 		r := &rs[i]

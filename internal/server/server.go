@@ -173,7 +173,8 @@ type Snapshot struct {
 	// PrevSeq is the seq of the snapshot Delta was computed against; 0 for
 	// the first snapshot, which has no predecessor.
 	PrevSeq int64
-	// MinedAt and MineDuration time the re-mine that produced it.
+	// MinedAt is when the snapshot was built; MineDuration runs from the
+	// window capture to then: mine, rule generation, diff and index build.
 	MinedAt      time.Time
 	MineDuration time.Duration
 	// View carries the rules plus the frozen catalog to render them.
@@ -690,7 +691,7 @@ func (s *Server) mine(miner *stream.Miner) {
 			s.degrade(degradedMinePanic)
 			return
 		}
-		s.publish(out.view, s.clock.Now().Sub(start))
+		s.publish(out.view, start)
 	case <-timeout:
 		// The goroutine is beyond recall; it holds only its PendingView
 		// (a private catalog clone plus immutable window sets), so the
@@ -715,16 +716,17 @@ func (s *Server) degrade(code int32) {
 
 // NewSnapshot assembles the snapshot published after prev (nil before the
 // first): numbered prev.Seq+1, or first when there is no prev, with the rule
-// diff against prev and the read index over view. The single server's mines
-// and the shard cluster's merges both publish through it.
-func NewSnapshot(prev *Snapshot, first int64, view *stream.View, minedAt time.Time, took time.Duration, stale bool) *Snapshot {
+// diff against prev and the read index over view. It is stamped MinedAt =
+// clock.Now() once both are built, and MineDuration runs from start (the
+// window capture) to that instant, so the mine duration covers the whole
+// publish: mine, rule generation, diff and index build. The single server's
+// mines and the shard cluster's merges both publish through it.
+func NewSnapshot(prev *Snapshot, first int64, view *stream.View, clock faultinject.Clock, start time.Time, stale bool) *Snapshot {
 	snap := &Snapshot{
-		Seq:          first,
-		MinedAt:      minedAt,
-		MineDuration: took,
-		View:         view,
-		Index:        NewRuleIndex(view),
-		Stale:        stale,
+		Seq:   first,
+		View:  view,
+		Index: NewRuleIndex(view),
+		Stale: stale,
 	}
 	var prevRules []rules.Rule
 	if prev != nil {
@@ -733,22 +735,24 @@ func NewSnapshot(prev *Snapshot, first int64, view *stream.View, minedAt time.Ti
 		prevRules = prev.View.Rules
 	}
 	snap.Delta = stream.Diff(prevRules, view.Rules)
+	snap.MinedAt = clock.Now()
+	snap.MineDuration = snap.MinedAt.Sub(start)
 	return snap
 }
 
-// publish swaps in a freshly mined snapshot. The first mine is seq 1 on a
-// cold start; after a restore it republishes the checkpointed window under
-// its recorded seq, so numbering continues exactly where the previous
-// instance stopped.
-func (s *Server) publish(view *stream.View, took time.Duration) {
-	snap := NewSnapshot(s.snap.Load(), max(s.seqBase, 1), view, s.clock.Now(), took, false)
+// publish swaps in a freshly mined snapshot of the window captured at
+// start. The first mine is seq 1 on a cold start; after a restore it
+// republishes the checkpointed window under its recorded seq, so numbering
+// continues exactly where the previous instance stopped.
+func (s *Server) publish(view *stream.View, start time.Time) {
+	snap := NewSnapshot(s.snap.Load(), max(s.seqBase, 1), view, s.clock, start, false)
 	// A clean mine ends any degraded state. Clear the flag before the swap,
 	// so a reader that sees the new seq never sees the old failure.
 	s.metrics.degraded.Store(degradedNone)
 	s.snap.Store(snap)
 	s.watch.Publish(snap)
 	s.metrics.mineCount.Add(1)
-	s.metrics.lastMineNanos.Store(int64(took))
+	s.metrics.lastMineNanos.Store(int64(snap.MineDuration))
 }
 
 // Watch exposes the drift push hub, so a fronting tier (the shard cluster)

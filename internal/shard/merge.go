@@ -139,8 +139,7 @@ func (c *Cluster) remerge(snaps []*server.Snapshot, key string) *mergedSnap {
 	}
 	// One index per merge-key: every request against this cached merge
 	// shares the posting lists, sort orders and analysis cache.
-	now := c.clock.Now()
-	snap := server.NewSnapshot(prev, 1, view, now, now.Sub(start), stale)
+	snap := server.NewSnapshot(prev, 1, view, c.clock, start, stale)
 	c.mergedWatch.Publish(snap)
 	return &mergedSnap{snap: snap, key: key, etag: mergedETag(snap.Seq, key)}
 }

@@ -281,24 +281,43 @@ type Postings [][]int32
 // materializing a list reproduces exactly the subsequence a linear
 // Contains scan would have produced.
 func IndexRules(rs []rules.Rule, items int) Postings {
-	p := make(Postings, items)
-	add := func(it itemset.Item, idx int32) {
-		// Defensive growth: a rule item beyond the declared catalog length
-		// (impossible for views built by this package) must not panic the
-		// read path.
-		if int(it) >= len(p) {
-			grown := make(Postings, int(it)+1)
-			copy(grown, p)
-			p = grown
+	// Count first, so every list is carved from one flat backing array
+	// instead of growing by append.
+	counts := make([]int32, items)
+	count := func(s itemset.Set) {
+		for _, it := range s {
+			// Defensive growth: a rule item beyond the declared catalog
+			// length (impossible for views built by this package) must not
+			// panic the read path.
+			if int(it) >= len(counts) {
+				counts = append(counts, make([]int32, int(it)+1-len(counts))...)
+			}
+			counts[it]++
 		}
-		p[it] = append(p[it], idx)
 	}
-	for i, r := range rs {
-		for _, it := range r.Antecedent {
-			add(it, int32(i))
+	total := 0
+	for i := range rs {
+		count(rs[i].Antecedent)
+		count(rs[i].Consequent)
+		total += len(rs[i].Antecedent) + len(rs[i].Consequent)
+	}
+	backing := make([]int32, total)
+	p := make(Postings, len(counts))
+	off := 0
+	for it, c := range counts {
+		if c > 0 {
+			// Capacity is capped at the list's own length, so the fill's
+			// appends stay inside its span and never reallocate.
+			p[it] = backing[off : off : off+int(c)]
+			off += int(c)
 		}
-		for _, it := range r.Consequent {
-			add(it, int32(i))
+	}
+	for i := range rs {
+		for _, it := range rs[i].Antecedent {
+			p[it] = append(p[it], int32(i))
+		}
+		for _, it := range rs[i].Consequent {
+			p[it] = append(p[it], int32(i))
 		}
 	}
 	return p
@@ -323,35 +342,52 @@ type Delta struct {
 	Jaccard float64
 }
 
-// Diff compares two snapshots structurally.
+// Diff compares two snapshots structurally: a rule's identity is its
+// antecedent ⇒ consequent pair. A rule listed twice counts once towards
+// Jaccard, and every copy of an appeared or vanished rule is listed.
+//
+// Both lists go into one open-addressed table of rule positions keyed by
+// ruleHash, so the diff costs integer work per rule; every probe hit is
+// confirmed with Set.Equal, so a hash collision never misclassifies a rule.
 func Diff(prev, cur []rules.Rule) Delta {
-	key := func(r rules.Rule) string { return r.Antecedent.Key() + "=>" + r.Consequent.Key() }
-	prevKeys := make(map[string]bool, len(prev))
-	for _, r := range prev {
-		prevKeys[key(r)] = true
+	t := newRuleTable(prev, cur)
+	// at[i] is the slot holding prev[i]'s structure, shared by its copies.
+	at := make([]int32, len(prev))
+	prevKeys := 0
+	for i := range prev {
+		h := t.slot(&prev[i])
+		if t.slots[h] == 0 {
+			t.slots[h] = int32(i + 1)
+			prevKeys++
+		}
+		at[i] = int32(h)
 	}
-	curKeys := make(map[string]bool, len(cur))
-	for _, r := range cur {
-		curKeys[key(r)] = true
-	}
+	// hit marks the prev slots some cur rule matched.
+	hit := make([]bool, len(t.slots))
 	var d Delta
-	for _, r := range cur {
-		if !prevKeys[key(r)] {
-			d.Appeared = append(d.Appeared, r)
-		}
-	}
-	for _, r := range prev {
-		if !curKeys[key(r)] {
-			d.Vanished = append(d.Vanished, r)
-		}
-	}
-	inter := 0
-	for k := range curKeys {
-		if prevKeys[k] {
+	curKeys, inter := 0, 0
+	for i := range cur {
+		h := t.slot(&cur[i])
+		switch v := t.slots[h]; {
+		case v == 0:
+			t.slots[h] = -int32(i + 1)
+			curKeys++
+			d.Appeared = append(d.Appeared, cur[i])
+		case v < 0:
+			// A further copy of a rule prev lacks.
+			d.Appeared = append(d.Appeared, cur[i])
+		case !hit[h]:
+			hit[h] = true
+			curKeys++
 			inter++
 		}
 	}
-	union := len(prevKeys) + len(curKeys) - inter
+	for i := range prev {
+		if !hit[at[i]] {
+			d.Vanished = append(d.Vanished, prev[i])
+		}
+	}
+	union := prevKeys + curKeys - inter
 	if union == 0 {
 		d.Jaccard = 1
 	} else {
@@ -360,6 +396,67 @@ func Diff(prev, cur []rules.Rule) Delta {
 	sort.Slice(d.Appeared, func(i, j int) bool { return d.Appeared[i].Lift > d.Appeared[j].Lift })
 	sort.Slice(d.Vanished, func(i, j int) bool { return d.Vanished[i].Lift > d.Vanished[j].Lift })
 	return d
+}
+
+// ruleTable is Diff's hash table, modelled on the rule generator's support
+// index: slots hold prev[v-1] for v > 0, cur[-v-1] for v < 0, and 0 marks
+// an empty slot. It is sized for both lists at a load factor of at most ½.
+type ruleTable struct {
+	slots     []int32
+	mask      uint64
+	prev, cur []rules.Rule
+}
+
+func newRuleTable(prev, cur []rules.Rule) *ruleTable {
+	size := 1
+	for size < 2*(len(prev)+len(cur))+1 {
+		size <<= 1
+	}
+	return &ruleTable{slots: make([]int32, size), mask: uint64(size - 1), prev: prev, cur: cur}
+}
+
+// slot returns the slot holding r's structure, or the empty slot where it
+// belongs.
+func (t *ruleTable) slot(r *rules.Rule) uint64 {
+	h := ruleHash(r) & t.mask
+	for {
+		v := t.slots[h]
+		if v == 0 {
+			return h
+		}
+		var o *rules.Rule
+		if v > 0 {
+			o = &t.prev[v-1]
+		} else {
+			o = &t.cur[-v-1]
+		}
+		if o.Antecedent.Equal(r.Antecedent) && o.Consequent.Equal(r.Consequent) {
+			return h
+		}
+		h = (h + 1) & t.mask
+	}
+}
+
+// ruleHash is a 64-bit FNV-1a hash of the antecedent items, a separator,
+// then the consequent items, so the splits of one itemset hash apart. The
+// final fold feeds the high bits into the low ones the table masks.
+func ruleHash(r *rules.Rule) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, it := range r.Antecedent {
+		h ^= uint64(uint32(it))
+		h *= prime64
+	}
+	h ^= math.MaxUint64
+	h *= prime64
+	for _, it := range r.Consequent {
+		h ^= uint64(uint32(it))
+		h *= prime64
+	}
+	return h ^ h>>32
 }
 
 // KeywordDelta narrows a delta to the rules mentioning the keyword on

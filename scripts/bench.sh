@@ -15,7 +15,10 @@
 # BENCH_serving.json needs no cross-commit baseline: the pre-index linear
 # read path is kept in-tree as the equivalence oracle, so every run
 # measures before (Linear) and after (Indexed) on the same snapshot and
-# reports the speedup directly.
+# reports the speedup directly. The publish-step rows (rule diff, index
+# build, per-request keyword-list sort) work the same way: each stage's
+# replaced implementation is kept as a test oracle and benchmarked as the
+# Oracle twin in the same run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -78,10 +81,14 @@ jq -n --argjson current "$current" --argjson baseline "$baseline" \
 echo "wrote $OUT" >&2
 
 # Serving read path: repeated /v1/rules queries against one 20k-job
-# snapshot, the indexed handlers against the in-tree linear oracle.
+# snapshot, the indexed handlers against the in-tree linear oracle. Then
+# the publish step on the shared 5000-job PAI fixture (internal/benchfix):
+# stream.Diff and NewRuleIndex against their oracles, plus the 50-rule
+# per-request sort.
 SERVING_OUT=BENCH_serving.json
 : >"$raw"
-run ./internal/server 'BenchmarkServing'
+run ./internal/server 'BenchmarkServing|BenchmarkNewRuleIndex|BenchmarkApplyQuerySort'
+run ./internal/stream 'BenchmarkDiff'
 
 jq -Rn --arg go "$(go version | awk '{print $3}')" --arg benchtime "$BENCHTIME" '
   [inputs | split("\t") |
@@ -90,14 +97,23 @@ jq -Rn --arg go "$(go version | awk '{print $3}')" --arg benchtime "$BENCHTIME" 
     allocs_per_op: (.[5] | tonumber)}]
   | map({key: .name, value: .}) | from_entries as $b
   | {generated_by: "scripts/bench.sh", go: $go, benchtime: $benchtime,
-     note: "before is the pre-index linear scan (kept as the equivalence oracle), after the indexed read path, on the same 20k-job snapshot",
+     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window",
      results: [
        {query: "repeated ?keyword= analysis",
         before: $b.BenchmarkServingKeywordLinear,
         after: $b.BenchmarkServingKeywordIndexed},
        {query: "?sort=support&min_lift= page",
         before: $b.BenchmarkServingSortLinear,
-        after: $b.BenchmarkServingSortIndexed}
+        after: $b.BenchmarkServingSortIndexed},
+       {query: "publish diff",
+        before: $b.BenchmarkDiffOracle,
+        after: $b.BenchmarkDiff},
+       {query: "publish index build",
+        before: $b.BenchmarkNewRuleIndexOracle,
+        after: $b.BenchmarkNewRuleIndex},
+       {query: "per-request ?sort= of a 50-rule keyword list",
+        before: $b.BenchmarkApplyQuerySortOracle,
+        after: $b.BenchmarkApplyQuerySort}
      ] | map(. + {speedup: ((.before.ns_per_op / .after.ns_per_op) * 10 | round / 10)})}
   ' <"$raw" >"$SERVING_OUT"
 echo "wrote $SERVING_OUT" >&2
