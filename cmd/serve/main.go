@@ -60,11 +60,11 @@
 // go to the reserved "default" tenant), each shard keeps its own window,
 // encoder state and shard-<i> checkpoint/WAL subdirectories, and
 // -tenant-quota caps accepted events per tenant per -quota-window. GET
-// /v1/rules then serves the SON-merged global view — provably equal to
-// mining the union window — and GET /v1/tenants/{id}/rules serves one
-// tenant's shard view. /healthz and /metrics aggregate across shards;
-// /metrics?format=prometheus emits per-tenant and per-shard counters in
-// scrape format.
+// /v1/rules then serves the merged global view — the union of the shard
+// windows, mined by the single server's code — and GET
+// /v1/tenants/{id}/rules serves one tenant's shard view. /healthz and
+// /metrics aggregate across shards; /metrics?format=prometheus emits
+// per-tenant and per-shard counters in scrape format.
 package main
 
 import (

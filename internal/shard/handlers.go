@@ -19,8 +19,8 @@ func (c *Cluster) handleIngest(w http.ResponseWriter, r *http.Request) {
 	server.ServeIngest(w, r, c.dec, c.Ingest, func() { c.rejected.Add(1) }, c.maxAgeSeconds())
 }
 
-// handleRules serves the merged view: the SON-exact union of every shard's
-// window. The ETag carries the shard seq/stale vector hash, so clients
+// handleRules serves the merged view: the rules mined over the union of
+// every shard's window. The ETag carries the shard seq/stale vector hash, so clients
 // revalidate 304 until any shard publishes a new snapshot.
 func (c *Cluster) handleRules(w http.ResponseWriter, r *http.Request) {
 	snap, etag := c.Merged()

@@ -1,17 +1,13 @@
-// The SON merge stage: reconciling N per-shard sliding windows into one
-// globally exact rule snapshot.
+// The merge stage: reconciling N per-shard sliding windows into one rule
+// snapshot of their union.
 //
 // Each shard publishes immutable snapshots whose View carries the captured
-// window (stream.View.Window). The merge translates every shard window into
+// window (stream.View.Window). The merge re-interns every shard window into
 // one shared catalog (shards intern item names in different orders, so ids
-// must be reconciled by name) and runs son.MineShards over the per-shard
-// databases: pass 1 re-mines each shard's window at the proportionally
-// scaled global threshold to propose candidates, pass 2 counts every
-// candidate exactly against every shard. Re-mining from the raw windows —
-// rather than unioning the shards' published frequent itemsets — is what
-// makes the merge sound: a shard's own mining threshold ceil(s·n_i) can
-// exceed the SON bound floor(C·n_i/n), so published lists may be missing
-// candidates that are globally frequent.
+// must be reconciled by name) and mines the resulting union window through
+// stream.Capture — the same FP-Growth and rule-generation code the single
+// server's mines run. The merged rules are therefore, by construction, the
+// rules one miner holding the union window would publish.
 //
 // Merges are cached on the shard seq/stale vector: while no shard publishes
 // a new snapshot, every /v1/rules hit serves the cached merge (and its ETag
@@ -23,11 +19,9 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"repro/internal/rules"
+	"repro/internal/itemset"
 	"repro/internal/server"
-	"repro/internal/son"
 	"repro/internal/stream"
-	"repro/internal/transaction"
 )
 
 // mergedSnap is one cached merge: the synthesized snapshot, the shard
@@ -94,45 +88,34 @@ func (c *Cluster) Merged() (*server.Snapshot, string) {
 // c.mergeCatalog and the previous merged snapshot are only touched here.
 func (c *Cluster) remerge(snaps []*server.Snapshot, key string) *mergedSnap {
 	start := c.clock.Now()
-	dbs := make([]*transaction.DB, 0, len(snaps))
-	totalLen, totalObserved := 0, 0
-	stale := false
+	var window []itemset.Set
+	var items []itemset.Item
+	total, stale := 0, false
 	for _, snap := range snaps {
 		if snap == nil {
 			continue
 		}
 		view := snap.View
 		stale = stale || snap.Stale
-		totalObserved += view.Total
-		db := transaction.NewDB(c.mergeCatalog)
+		total += view.Total
 		for _, txn := range view.Window {
 			// Reconcile by name: the same item carries different ids in
-			// different shard catalogs, and AddNames re-interns against the
+			// different shard catalogs, so intern each name against the
 			// cluster-stable merge catalog.
-			db.AddNames(view.Catalog.Names(txn)...)
+			items = items[:0]
+			for _, it := range txn {
+				items = append(items, c.mergeCatalog.Intern(view.Catalog.Name(it)))
+			}
+			window = append(window, itemset.NewSet(items...))
 		}
-		totalLen += db.Len()
-		dbs = append(dbs, db)
 	}
 
-	minSupport, maxLen, minLift := stream.Thresholds(c.cfg.Shard.MinSupport, c.cfg.Shard.MaxLen, c.cfg.Shard.MinLift)
-	frequent := son.MineShards(dbs, son.Options{
-		MinCount: stream.MinCount(minSupport, totalLen),
-		MaxLen:   maxLen,
-		Workers:  c.cfg.Shard.Workers,
-	})
-	rs := rules.Generate(frequent, totalLen, rules.Options{MinLift: minLift, Workers: c.cfg.Shard.Workers})
-
-	// The published View renders against a frozen clone; ids are stable
-	// across clones, so consecutive merges diff structurally just like
-	// consecutive single-miner snapshots. Window stays nil: a merged view is
-	// synthesized, not a mining input.
-	view := &stream.View{
-		Rules:     rs,
-		Catalog:   c.mergeCatalog.Clone(),
-		WindowLen: totalLen,
-		Total:     totalObserved,
-	}
+	// The merged View renders against a frozen clone; ids are stable across
+	// clones, so consecutive merges diff structurally just like consecutive
+	// single-miner snapshots.
+	sc := c.cfg.Shard
+	cfg := stream.Config{MinSupport: sc.MinSupport, MaxLen: sc.MaxLen, MinLift: sc.MinLift, Workers: sc.Workers}
+	view := stream.Capture(cfg, c.mergeCatalog.Clone(), window, total).Mine()
 	var prev *server.Snapshot
 	if m := c.merged.Load(); m != nil {
 		prev = m.snap

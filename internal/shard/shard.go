@@ -4,11 +4,10 @@
 // and (when configured) checkpoint/WAL directory — and routes every ingested
 // event to one shard by hashing a tenant key field. Tenants therefore get
 // isolated windows, isolated failure domains and per-tenant ingest quotas,
-// while the cluster still answers global queries: a merge stage reconciles
-// the per-shard windows into one rule snapshot using internal/son's two-pass
-// candidate-then-count protocol, so the merged /v1/rules is provably the
-// same rule set a single miner over the union window would have produced
-// (SON is exact, not approximate).
+// while the cluster still answers global queries: a merge stage re-interns
+// the per-shard windows into one union window and mines it with
+// stream.Capture, the code a single server mines with, so the merged
+// /v1/rules is the rule set a single miner over the union window produces.
 package shard
 
 import (
@@ -101,7 +100,7 @@ func (ts *tenantStats) allow(now time.Time, limit int, window time.Duration) boo
 }
 
 // Cluster is an N-shard serving deployment: a router in front of N
-// server.Server miners plus the SON merge stage behind /v1/rules. Create
+// server.Server miners plus the merge stage behind /v1/rules. Create
 // with New, mount Handler, Stop to drain every shard.
 type Cluster struct {
 	cfg    Config
@@ -116,7 +115,7 @@ type Cluster struct {
 	rejected        atomic.Int64 // events refused before routing (validation or tenant key)
 	quotaRejections atomic.Int64 // events refused by tenant quotas, all tenants
 
-	// merge guards the SON merge: merged caches the last merged snapshot
+	// merge guards the union merge: merged caches the last merged snapshot
 	// keyed on the shard seq/stale vector, mergeMu single-flights a remerge,
 	// and mergeCatalog (touched only under mergeMu) interns item names with
 	// cluster-stable ids so consecutive merged snapshots diff meaningfully.

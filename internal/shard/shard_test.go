@@ -353,7 +353,15 @@ func TestMetricsScrapeFormat(t *testing.T) {
 		`armine_tenant_ingested_total{tenant="we\"ird",shard="` + itoa(c.ShardFor(`we"ird`)) + `"} 1`,
 		`armine_shard_mine_duration_seconds{shard="0"}`,
 		`armine_shard_snapshot_seq{shard="1"}`,
-		`armine_shard_ingest_accepted_total{shard="0"}`,
+	}
+	// The two accepted events count on the shards they routed to (the
+	// quota-refused one never reached a shard), so a counter that failed
+	// to read would render 0 and miss its exact line.
+	var accepted [2]int
+	accepted[acmeShard]++
+	accepted[c.ShardFor(`we"ird`)]++
+	for i, n := range accepted {
+		wantLines = append(wantLines, `armine_shard_ingest_accepted_total{shard="`+itoa(i)+`"} `+itoa(n)+"\n")
 	}
 	for _, want := range wantLines {
 		if !strings.Contains(body, want) {

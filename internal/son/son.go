@@ -9,9 +9,9 @@
 //
 // Two entry points share the protocol: Mine splits one database into equal
 // spans (the single-machine form), and MineShards accepts the partitions
-// pre-formed — one per serving shard — which is how the sharded serving
-// path (internal/shard) reconciles per-shard sliding windows into one
-// globally exact rule snapshot.
+// pre-formed, e.g. one per data shard. The package is a batch library; the
+// sharded serving path (internal/shard) holds every shard window in one
+// process and mines their union directly instead.
 package son
 
 import (
@@ -80,8 +80,7 @@ func Mine(db *transaction.DB, opts Options) []itemset.Frequent {
 // counted exactly against every shard. All shards must share one item
 // catalog (the same id means the same item everywhere); empty shards are
 // permitted and contribute nothing. The result is exactly what FP-Growth
-// would mine over the concatenation of the shards — SON is exact — which is
-// the property the sharded serving path's merged rule view relies on.
+// would mine over the concatenation of the shards — SON is exact.
 func MineShards(shards []*transaction.DB, opts Options) []itemset.Frequent {
 	if opts.MinCount < 1 {
 		opts.MinCount = 1

@@ -20,9 +20,9 @@ import (
 )
 
 // Thresholds resolves zero mining thresholds to the paper's settings:
-// support 0.05, itemset length 5, lift 1.5. Every layer that mines a window
-// (this package, internal/server and the shard merge) resolves its
-// thresholds here, so the defaults cannot drift apart.
+// support 0.05, itemset length 5, lift 1.5. Capture applies it to every
+// window that is mined, and internal/server resolves its Config here too,
+// so the defaults cannot drift apart.
 func Thresholds(minSupport float64, maxLen int, minLift float64) (float64, int, float64) {
 	if minSupport == 0 {
 		minSupport = 0.05
@@ -65,7 +65,7 @@ type Config struct {
 type Miner struct {
 	cfg     Config
 	catalog *itemset.Catalog
-	ring    [][]itemset.Item
+	ring    []itemset.Set
 	next    int
 	filled  bool
 	total   int
@@ -83,7 +83,7 @@ func New(catalog *itemset.Catalog, cfg Config) (*Miner, error) {
 	return &Miner{
 		cfg:     cfg,
 		catalog: catalog,
-		ring:    make([][]itemset.Item, cfg.WindowSize),
+		ring:    make([]itemset.Set, cfg.WindowSize),
 	}, nil
 }
 
@@ -120,21 +120,17 @@ func (m *Miner) Len() int {
 }
 
 // Export returns the window's transactions oldest-first plus the total
-// observed count — the miner's half of a serving checkpoint. The returned
-// sets alias the ring (Observe replaces slots rather than mutating them), so
-// treat them as read-only and serialize before the next Observe.
+// observed count — the miner's half of a serving checkpoint and the window
+// BeginView captures. The slice is fresh; its sets alias the ring, and
+// since Observe replaces slots rather than mutating them they stay valid
+// after later Observe calls. Treat them as read-only.
 func (m *Miner) Export() ([]itemset.Set, int) {
 	n := m.Len()
 	out := make([]itemset.Set, 0, n)
 	if m.filled {
-		for _, txn := range m.ring[m.next:] {
-			out = append(out, txn)
-		}
+		out = append(out, m.ring[m.next:]...)
 	}
-	for _, txn := range m.ring[:m.next] {
-		out = append(out, txn)
-	}
-	return out, m.total
+	return append(out, m.ring[:m.next]...), m.total
 }
 
 // RestoreWindow refills an empty miner from an Export: txns oldest-first
@@ -166,29 +162,7 @@ func (m *Miner) Total() int { return m.total }
 // Snapshot mines the current window and returns the rules above the lift
 // threshold, strongest first.
 func (m *Miner) Snapshot() []rules.Rule {
-	// Ring slots are canonical sets that Observe replaces rather than
-	// mutates, so the window database can alias them.
-	return mineWindow(m.cfg, m.catalog, m.ring[:m.Len()])
-}
-
-// mineWindow runs the FP-Growth → rule-generation pipeline over one
-// captured window, building the FP-tree afresh. Shared by the in-place
-// Snapshot and the detachable PendingView so both mine byte-identically.
-func mineWindow(cfg Config, catalog *itemset.Catalog, window [][]itemset.Item) []rules.Rule {
-	n := len(window)
-	if n == 0 {
-		return nil
-	}
-	db := transaction.NewDB(catalog)
-	for _, txn := range window {
-		db.AddCanonical(txn)
-	}
-	frequent := fpgrowth.Mine(db, fpgrowth.Options{
-		MinCount: MinCount(cfg.MinSupport, n),
-		MaxLen:   cfg.MaxLen,
-		Workers:  cfg.Workers,
-	})
-	return rules.Generate(frequent, n, rules.Options{MinLift: cfg.MinLift, Workers: cfg.Workers})
+	return m.BeginView().Mine().Rules
 }
 
 // View is an immutable snapshot of the miner, safe to hand to concurrent
@@ -204,10 +178,9 @@ type View struct {
 	// WindowLen and Total mirror Len and Total at mining time.
 	WindowLen, Total int
 	// Window is the captured window the rules were mined from, oldest
-	// first: canonical immutable sets resolved against Catalog. It is what
-	// lets a merge stage (internal/shard) re-count itemsets against the
-	// exact transactions behind each published snapshot. Synthesized views
-	// (e.g. a merged multi-shard view) may leave it nil.
+	// first: canonical immutable sets resolved against Catalog. A merged
+	// multi-shard view (internal/shard) carries the union of its shards'
+	// windows, re-interned against the merge catalog.
 	Window []itemset.Set
 }
 
@@ -219,7 +192,7 @@ func (m *Miner) View() *View {
 }
 
 // PendingView is a window captured for mining away from the miner's owner
-// goroutine. BeginView is cheap (slice-header copies plus a catalog
+// goroutine. Capturing is cheap (slice-header copies plus a catalog
 // clone); Mine does the heavy work and touches nothing the miner mutates
 // afterwards — the ring slots it holds are canonical sets that Observe
 // replaces rather than edits, and the catalog is a private clone. This is
@@ -229,43 +202,55 @@ func (m *Miner) View() *View {
 type PendingView struct {
 	cfg     Config
 	catalog *itemset.Catalog
-	window  [][]itemset.Item
+	window  []itemset.Set
 	total   int
 }
 
-// BeginView captures the current window. Must be called from the miner's
-// owner goroutine, like every other Miner method.
-func (m *Miner) BeginView() *PendingView {
-	n := m.Len()
-	// Capture oldest-first (mining is order-blind, but View.Window promises
-	// the same order Export uses, so checkpoints and merge stages agree).
-	window := make([][]itemset.Item, 0, n)
-	if m.filled {
-		window = append(window, m.ring[m.next:]...)
-	}
-	window = append(window, m.ring[:m.next]...)
-	return &PendingView{
-		cfg:     m.cfg,
-		catalog: m.catalog.Clone(),
-		window:  window,
-		total:   m.total,
-	}
+// Capture packages a window for mining under cfg's thresholds (zero
+// values resolve through Thresholds; WindowSize is ignored). window holds
+// canonical sets resolved against catalog, total is the observed count to
+// report. The PendingView takes ownership: the caller must not mutate the
+// catalog, the slice or its sets afterwards. Every window that becomes
+// rules goes through here — the single miner's BeginView and the shard
+// cluster's union of shard windows alike.
+func Capture(cfg Config, catalog *itemset.Catalog, window []itemset.Set, total int) *PendingView {
+	cfg.MinSupport, cfg.MaxLen, cfg.MinLift = Thresholds(cfg.MinSupport, cfg.MaxLen, cfg.MinLift)
+	return &PendingView{cfg: cfg, catalog: catalog, window: window, total: total}
 }
 
-// Mine runs the capture to completion. Safe to call on any goroutine; the
-// result is identical to what Miner.View would have returned at capture
-// time.
+// BeginView captures the current window, oldest first like Export. Must
+// be called from the miner's owner goroutine, like every other Miner
+// method.
+func (m *Miner) BeginView() *PendingView {
+	window, total := m.Export()
+	return Capture(m.cfg, m.catalog.Clone(), window, total)
+}
+
+// Mine runs FP-Growth and rule generation over the capture, building the
+// FP-tree afresh. Safe to call on any goroutine; for a BeginView capture
+// the result is identical to what Miner.View would have returned at
+// capture time.
 func (pv *PendingView) Mine() *View {
-	window := make([]itemset.Set, len(pv.window))
-	for i, txn := range pv.window {
-		window[i] = itemset.Set(txn)
+	n := len(pv.window)
+	var rs []rules.Rule
+	if n > 0 {
+		db := transaction.NewDB(pv.catalog)
+		for _, txn := range pv.window {
+			db.AddCanonical(txn)
+		}
+		frequent := fpgrowth.Mine(db, fpgrowth.Options{
+			MinCount: MinCount(pv.cfg.MinSupport, n),
+			MaxLen:   pv.cfg.MaxLen,
+			Workers:  pv.cfg.Workers,
+		})
+		rs = rules.Generate(frequent, n, rules.Options{MinLift: pv.cfg.MinLift, Workers: pv.cfg.Workers})
 	}
 	return &View{
-		Rules:     mineWindow(pv.cfg, pv.catalog, pv.window),
+		Rules:     rs,
 		Catalog:   pv.catalog,
-		WindowLen: len(pv.window),
+		WindowLen: n,
 		Total:     pv.total,
-		Window:    window,
+		Window:    pv.window,
 	}
 }
 

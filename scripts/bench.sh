@@ -18,7 +18,8 @@
 # reports the speedup directly. The publish-step rows (rule diff, index
 # build, per-request keyword-list sort) work the same way: each stage's
 # replaced implementation is kept as a test oracle and benchmarked as the
-# Oracle twin in the same run.
+# Oracle twin in the same run. So is the cluster remerge: the union-window
+# mine against the SON merge it replaced, kept as its test oracle.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,11 +85,13 @@ echo "wrote $OUT" >&2
 # snapshot, the indexed handlers against the in-tree linear oracle. Then
 # the publish step on the shared 5000-job PAI fixture (internal/benchfix):
 # stream.Diff and NewRuleIndex against their oracles, plus the 50-rule
-# per-request sort.
+# per-request sort. Last, the cluster remerge of that fixture window split
+# over three shards, against the SON merge oracle.
 SERVING_OUT=BENCH_serving.json
 : >"$raw"
 run ./internal/server 'BenchmarkServing|BenchmarkNewRuleIndex|BenchmarkApplyQuerySort'
 run ./internal/stream 'BenchmarkDiff'
+run ./internal/shard 'BenchmarkRemerge'
 
 jq -Rn --arg go "$(go version | awk '{print $3}')" --arg benchtime "$BENCHTIME" '
   [inputs | split("\t") |
@@ -97,7 +100,7 @@ jq -Rn --arg go "$(go version | awk '{print $3}')" --arg benchtime "$BENCHTIME" 
     allocs_per_op: (.[5] | tonumber)}]
   | map({key: .name, value: .}) | from_entries as $b
   | {generated_by: "scripts/bench.sh", go: $go, benchtime: $benchtime,
-     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window",
+     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window; the SON merge against the union-window mine on that window split over three shards",
      results: [
        {query: "repeated ?keyword= analysis",
         before: $b.BenchmarkServingKeywordLinear,
@@ -113,7 +116,10 @@ jq -Rn --arg go "$(go version | awk '{print $3}')" --arg benchtime "$BENCHTIME" 
         after: $b.BenchmarkNewRuleIndex},
        {query: "per-request ?sort= of a 50-rule keyword list",
         before: $b.BenchmarkApplyQuerySortOracle,
-        after: $b.BenchmarkApplyQuerySort}
+        after: $b.BenchmarkApplyQuerySort},
+       {query: "cluster remerge",
+        before: $b.BenchmarkRemergeOracle,
+        after: $b.BenchmarkRemerge}
      ] | map(. + {speedup: ((.before.ns_per_op / .after.ns_per_op) * 10 | round / 10)})}
   ' <"$raw" >"$SERVING_OUT"
 echo "wrote $SERVING_OUT" >&2
