@@ -94,7 +94,7 @@ func main() {
 	cLift := flag.Float64("c-lift", 1.5, "pruning lift slack C_lift")
 	cSupp := flag.Float64("c-supp", 1.5, "pruning support slack C_supp")
 	mineInterval := flag.Duration("mine-interval", 2*time.Second, "re-mine cadence")
-	mineBatch := flag.Int("mine-batch", 1000, "re-mine after this many new jobs")
+	mineBatch := flag.Int("mine-batch", 1000, "re-mine after this many new jobs; whole batches that queue up during a mine are mined together")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof profiles (e.g. localhost:6060); empty disables")
 	queue := flag.Int("queue", 8192, "ingest queue capacity (full queue => 429)")
 	watchHistory := flag.Int("watch-history", 64, "drift events retained for /v1/drift/watch Last-Event-ID resume")

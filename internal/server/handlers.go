@@ -725,6 +725,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // map — the per-shard block a coordinator embeds in its aggregate.
 func (s *Server) Metrics() map[string]any { return s.metricsView() }
 
+// Accepted returns how many events this server has enqueued for its mining
+// loop: the /metrics ingest_accepted counter, without building the map.
+func (s *Server) Accepted() int64 { return s.metrics.accepted.Load() }
+
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, s.metricsView())
 }

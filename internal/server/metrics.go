@@ -16,6 +16,7 @@ type metrics struct {
 	encodePanics  atomic.Int64 // poison events whose encode panicked (recovered)
 	mineCount     atomic.Int64 // snapshots published
 	lastMineNanos atomic.Int64 // duration of the latest re-mine
+	lastMineTxns  atomic.Int64 // transactions the latest re-mine added since the previous capture
 	minePanics    atomic.Int64 // mines that panicked (recovered, snapshot kept)
 	mineTimeouts  atomic.Int64 // mines abandoned by the watchdog
 	degraded      atomic.Int32 // current failure mode: 0 healthy, see degradeReasonString
@@ -46,6 +47,7 @@ func (s *Server) metricsView() map[string]any {
 		"window_capacity":      s.cfg.WindowSize,
 		"mine_count":           s.metrics.mineCount.Load(),
 		"last_mine_ms":         float64(s.metrics.lastMineNanos.Load()) / 1e6,
+		"last_mine_txns":       s.metrics.lastMineTxns.Load(),
 		"mine_panics_total":    s.metrics.minePanics.Load(),
 		"mine_timeouts_total":  s.metrics.mineTimeouts.Load(),
 		"degraded":             s.metrics.degraded.Load() != degradedNone,

@@ -66,8 +66,11 @@ type Config struct {
 	// MineInterval is the re-mine cadence when data trickles in; zero
 	// means 2s.
 	MineInterval time.Duration
-	// MineBatch re-mines eagerly after this many new jobs regardless of
-	// the interval; zero means 1000.
+	// MineBatch re-mines eagerly after this many new transactions
+	// regardless of the interval; zero means 1000. Whole batches that
+	// queued up while a mine ran are taken by the next mine together, so a
+	// burst of B events publishes about twice instead of B/MineBatch times;
+	// a loop that keeps up mines at every batch.
 	MineBatch int
 	// MineTimeout is the watchdog bound on one re-mine: a mine still
 	// running after this long is abandoned, the server enters degraded
@@ -266,8 +269,9 @@ type Server struct {
 	seqBase int64
 	// replayed counts WAL records applied during recovery; when non-zero
 	// the loop mines immediately so queries reflect them from the first
-	// request.
-	replayed int
+	// request. replayedTxns counts the transactions they encoded to.
+	replayed     int
+	replayedTxns int
 }
 
 // New starts the mining loop and returns the server. When Config.StateDir
@@ -389,6 +393,7 @@ func (s *Server) openWALAndReplay(miner *stream.Miner, enc *encoder) error {
 		}
 		for _, items := range s.encodeGuarded(enc, ev) {
 			miner.ObserveNames(items...)
+			s.replayedTxns++
 		}
 		s.lastApplied.Store(seq)
 		s.replayed++
@@ -575,13 +580,20 @@ func (s *Server) loop(miner *stream.Miner, enc *encoder) {
 		// recovered window immediately so queries work from the first
 		// request. With no replayed records the window is identical to the
 		// checkpointed one, so the republished rules are too.
-		s.mine(miner)
+		s.mine(miner, s.replayedTxns)
 	}
 	// Re-armed after every firing rather than a ticker: faultinject.Clock
 	// has no ticker, and the re-arm keeps the interval seam injectable for
 	// the deterministic chaos suites.
 	tick := s.clock.After(s.cfg.MineInterval)
 	pending := 0
+	// batch is the pending count that fires the next mine. It is MineBatch
+	// unless whole batches queued up behind the last mine: those fold into
+	// the next one, so a backlog costs one stale publish instead of one per
+	// batch. Only whole batches fold, so every mine point stays a multiple
+	// of MineBatch counted from the previous mine, exactly where a loop
+	// that keeps up would have mined.
+	batch := s.cfg.MineBatch
 	sinceCheckpoint := 0
 	observe := func(txns [][]string) {
 		for _, items := range txns {
@@ -608,12 +620,13 @@ func (s *Server) loop(miner *stream.Miner, enc *encoder) {
 		}
 	}
 	mine := func() {
-		s.mine(miner)
+		s.mine(miner, pending)
 		pending = 0
 		if sinceCheckpoint++; sinceCheckpoint >= s.cfg.CheckpointEvery {
 			checkpoint()
 			sinceCheckpoint = 0
 		}
+		batch = max(s.cfg.MineBatch, len(s.queue)/s.cfg.MineBatch*s.cfg.MineBatch)
 	}
 	for {
 		select {
@@ -626,7 +639,7 @@ func (s *Server) loop(miner *stream.Miner, enc *encoder) {
 				// always leave a fresh checkpoint behind.
 				observe(s.flushGuarded(enc))
 				if pending > 0 {
-					s.mine(miner)
+					s.mine(miner, pending)
 				}
 				checkpoint()
 				return
@@ -635,7 +648,7 @@ func (s *Server) loop(miner *stream.Miner, enc *encoder) {
 			if q.seq > 0 {
 				s.lastApplied.Store(q.seq)
 			}
-			if pending >= s.cfg.MineBatch {
+			if pending >= batch {
 				mine()
 			}
 		case <-tick:
@@ -658,16 +671,18 @@ type mineOutcome struct {
 	panicked any
 }
 
-// mine re-mines the window and publishes the result. The heavy work runs
+// mine re-mines the window, which holds txns transactions newer than the
+// previous capture, and publishes the result. The heavy work runs
 // on a detached goroutine over an immutable PendingView, fenced two ways:
 // a recover() turns a panicking mine into a degraded tick instead of a
 // dead daemon, and (when MineTimeout is set) a watchdog abandons a mine
 // that hangs. In either failure the last good snapshot is republished with
 // its Stale flag up, so operators keep getting answers — clearly marked —
 // until the next batch mines cleanly.
-func (s *Server) mine(miner *stream.Miner) {
+func (s *Server) mine(miner *stream.Miner, txns int) {
 	start := s.clock.Now()
 	pv := miner.BeginView()
+	s.metrics.lastMineTxns.Store(int64(txns))
 	outcome := make(chan mineOutcome, 1)
 	go func() {
 		defer func() {

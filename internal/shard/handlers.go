@@ -209,9 +209,7 @@ func (c *Cluster) writePrometheus(w http.ResponseWriter) {
 			gauges[i].seq = snap.Seq
 			gauges[i].dur = snap.MineDuration.Seconds()
 		}
-		if v, ok := s.Metrics()["ingest_accepted"].(int64); ok {
-			gauges[i].accepted = v
-		}
+		gauges[i].accepted = s.Accepted()
 		fmt.Fprintf(&b, "armine_shard_mine_duration_seconds{shard=\"%d\"} %g\n", i, gauges[i].dur)
 	}
 	fmt.Fprintf(&b, "# HELP armine_shard_snapshot_seq Latest published snapshot sequence number.\n")

@@ -17,7 +17,13 @@
 // CRC fails mid-log is corruption: in the default lenient mode the frame is
 // skipped and counted (its sequence number stays burned, so later records
 // keep their identity), in Strict mode Open refuses, for deployments that
-// would rather page an operator than mine around a hole.
+// would rather page an operator than mine around a hole. A sealed segment
+// must hold exactly the records up to its successor's first: one cut short
+// at a frame boundary, or whose frames no longer add up after a damaged
+// length field, keeps only the frames before its first damaged one and
+// counts the rest as one corruption. Frames carry no seq of their own, so
+// the same damage in the newest segment can shift the seqs of the records
+// after it; the corruption is still counted.
 package wal
 
 import (
@@ -205,7 +211,11 @@ func (w *WAL) scan() error {
 	sort.Slice(w.segs, func(i, j int) bool { return w.segs[i].first < w.segs[j].first })
 	for i := range w.segs {
 		last := i == len(w.segs)-1
-		if err := w.scanSegment(&w.segs[i], last); err != nil {
+		var span uint64 // records a sealed segment was closed with
+		if !last {
+			span = w.segs[i+1].first - w.segs[i].first
+		}
+		if err := w.scanSegment(&w.segs[i], last, span); err != nil {
 			return err
 		}
 		w.next = w.segs[i].first + w.segs[i].count
@@ -214,14 +224,21 @@ func (w *WAL) scan() error {
 }
 
 // scanSegment walks one segment's frames. For the last segment the walk
-// also measures the valid prefix so Append can continue exactly there.
-func (w *WAL) scanSegment(seg *segment, last bool) error {
+// also measures the valid prefix so Append can continue exactly there. A
+// sealed segment was synced whole before its successor was created, so
+// the walk must find exactly span frames in it. Any other count means
+// frames were cut away or a length field was rewritten: past the first
+// damaged frame the seqs are a guess, so only the frames before it are
+// kept and the loss counts as one corruption (an error under Strict).
+func (w *WAL) scanSegment(seg *segment, last bool, span uint64) error {
 	data, err := w.fs.ReadFile(filepath.Join(w.opts.Dir, seg.name))
 	if err != nil {
 		return fmt.Errorf("wal: read segment %s: %w", seg.name, err)
 	}
 	off := int64(0)
-	good := int64(0) // end offset of the last valid frame
+	good := int64(0)      // end offset of the last valid frame
+	trusted := ^uint64(0) // frames before the first CRC mismatch
+	corruptBefore := w.corrupt
 	for {
 		rest := data[off:]
 		if len(rest) == 0 {
@@ -262,6 +279,7 @@ func (w *WAL) scanSegment(seg *segment, last bool) error {
 					seg.name, off, seg.first+seg.count)
 			}
 			w.corrupt++
+			trusted = min(trusted, seg.count)
 		}
 		seg.count++ // a skipped frame still burns its seq
 		off += frameHeaderSize + int64(length)
@@ -269,6 +287,17 @@ func (w *WAL) scanSegment(seg *segment, last bool) error {
 	}
 	if last {
 		w.tailLen = good
+		return nil
+	}
+	if seg.count != span {
+		if w.opts.Strict {
+			return fmt.Errorf("wal: segment %s holds %d records, but the next segment starts at record %d",
+				seg.name, seg.count, seg.first+span)
+		}
+		if w.corrupt == corruptBefore {
+			w.corrupt++
+		}
+		seg.count = min(seg.count, trusted)
 	}
 	return nil
 }

@@ -348,3 +348,31 @@ func TestChecksumIsCastagnoli(t *testing.T) {
 		t.Fatal("CRC table is not CRC-32C")
 	}
 }
+
+// A sealed segment cut at a frame boundary has no torn frame to find, but
+// it holds fewer records than its successor's name says: the loss is
+// counted (refused under Strict) and later segments keep their seqs.
+func TestCutSealedSegmentCounted(t *testing.T) {
+	dir := t.TempDir()
+	// 60-byte segments hold four 19-byte frames: records 1-4, 5-8, 9-12.
+	w := openTest(t, Options{Dir: dir, Sync: SyncAlways, SegmentBytes: 60})
+	appendN(t, w, 0, 12)
+	w.Close()
+	// Keep only record 5 of the middle segment.
+	if err := os.Truncate(filepath.Join(dir, segmentName(5)), frameHeaderSize+int64(len("record-0004"))); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Open(Options{Dir: dir, Sync: SyncAlways, Strict: true}); err == nil {
+		t.Fatal("strict open over a cut sealed segment should fail")
+	}
+	w2 := openTest(t, Options{Dir: dir, Sync: SyncAlways})
+	if w2.CorruptFrames() != 1 {
+		t.Errorf("corrupt frames = %d, want 1", w2.CorruptFrames())
+	}
+	want := []string{"1:record-0000", "2:record-0001", "3:record-0002", "4:record-0003", "5:record-0004",
+		"9:record-0008", "10:record-0009", "11:record-0010", "12:record-0011"}
+	if got := replayAll(t, w2, 1); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("replay = %v, want %v", got, want)
+	}
+}
