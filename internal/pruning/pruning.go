@@ -14,6 +14,13 @@
 //	  consequent — extra items next to the keyword add nothing to a cause.
 //	Condition 4 (characteristic, antecedents nest): prefer the shorter
 //	  antecedent when it generalizes with similar lift.
+//
+// Every condition compares two rules that share one side exactly and whose
+// other sides are properly nested. Prune therefore indexes the relevant
+// rules once by (antecedent, consequent) and finds each rule's partners by
+// probing the proper subsets of one of its sides: a rule A ⇒ C costs
+// 2^|A| + 2^|C| − 2 probes, at most 16 at the serving MaxLen of 5, where a
+// scan of the rules sharing a side would cost the square of their number.
 package pruning
 
 import (
@@ -40,10 +47,23 @@ type Stats struct {
 	NoKeyword int // rules passed through untouched (keyword absent)
 }
 
-// Prune applies the four conditions to every ordered pair of rules
-// containing keyword and returns the surviving rules (plus, untouched, any
-// rules that do not contain the keyword). Pruning decisions are evaluated
-// against the full input so the outcome does not depend on rule order.
+// Prune applies the four conditions to the rules containing keyword and
+// returns the surviving rules (plus, untouched, any rules that do not
+// contain the keyword), in input order. Pruning decisions are evaluated
+// against the full input, so which rules survive does not depend on rule
+// order. Sides must be canonical Sets.
+//
+// For conditions 1 and 4, each relevant rule b probes (S ⇒ b.Consequent)
+// for every proper subset S of b.Antecedent, the empty set included; each
+// hit is a shorter-antecedent partner a. Conditions 2 and 3 probe
+// (b.Antecedent ⇒ S) over the proper subsets of b.Consequent. All
+// condition-1/4 marks land before any condition-2/3 mark, so a rule
+// conditions of both phases prune counts under condition 1 or 4.
+// Stats.ByCond depends on the input alone when every rule's two sides are
+// disjoint, as in all rules.Generate output: then at most one condition of
+// each phase applies to a rule. When sides overlap, a rule that both
+// conditions of one phase prune counts under whichever pair is probed
+// first.
 func Prune(rs []rules.Rule, keyword itemset.Item, opts Options) ([]rules.Rule, Stats) {
 	if opts.CLift == 0 {
 		opts.CLift = 1.5
@@ -54,42 +74,33 @@ func Prune(rs []rules.Rule, keyword itemset.Item, opts Options) ([]rules.Rule, S
 	stats := Stats{Input: len(rs)}
 
 	// Partition: only rules containing the keyword participate.
-	var relevant []int
-	for i, r := range rs {
+	var relevant []int32
+	for i := range rs {
+		r := &rs[i]
 		if r.Antecedent.Contains(keyword) || r.Consequent.Contains(keyword) {
-			relevant = append(relevant, i)
+			relevant = append(relevant, int32(i))
 		} else {
 			stats.NoKeyword++
 		}
 	}
 	pruned := make([]bool, len(rs))
-	mark := func(idx, cond int) {
+	mark := func(idx int32, cond int) {
 		if !pruned[idx] {
 			pruned[idx] = true
 			stats.ByCond[cond-1]++
 		}
 	}
+	t := newSideTable(rs, relevant)
+	var sub itemset.Set
 
-	// Every condition compares two rules sharing one side exactly, so the
-	// quadratic pair scan only needs to run inside buckets of equal
-	// consequent (conditions 1 and 4) or equal antecedent (2 and 3).
-	byConsequent := make(map[string][]int)
-	byAntecedent := make(map[string][]int)
-	for _, i := range relevant {
-		byConsequent[rs[i].Consequent.Key()] = append(byConsequent[rs[i].Consequent.Key()], i)
-		byAntecedent[rs[i].Antecedent.Key()] = append(byAntecedent[rs[i].Antecedent.Key()], i)
-	}
-
-	for _, bucket := range byConsequent {
-		for _, ii := range bucket {
-			for _, jj := range bucket {
-				if ii == jj {
-					continue
-				}
-				a, b := rs[ii], rs[jj]
-				if !a.Antecedent.IsProperSubset(b.Antecedent) {
-					continue
-				}
+	// Conditions 1 and 4: a and b share the consequent, and a's antecedent
+	// is a proper subset of b's.
+	for _, jj := range relevant {
+		b := &rs[jj]
+		for m := uint64(0); m < 1<<len(b.Antecedent)-1; m++ {
+			sub = pick(sub[:0], b.Antecedent, m)
+			for ii := t.find(sub, b.Consequent); ii >= 0; ii = t.next[ii] {
+				a := &rs[ii]
 				// Condition 1: keyword in the shared consequent.
 				if b.Consequent.Contains(keyword) {
 					if opts.CLift*a.Lift >= b.Lift {
@@ -107,16 +118,14 @@ func Prune(rs []rules.Rule, keyword itemset.Item, opts Options) ([]rules.Rule, S
 			}
 		}
 	}
-	for _, bucket := range byAntecedent {
-		for _, ii := range bucket {
-			for _, jj := range bucket {
-				if ii == jj {
-					continue
-				}
-				a, b := rs[ii], rs[jj]
-				if !a.Consequent.IsProperSubset(b.Consequent) {
-					continue
-				}
+	// Conditions 2 and 3: a and b share the antecedent, and a's consequent
+	// is a proper subset of b's.
+	for _, jj := range relevant {
+		b := &rs[jj]
+		for m := uint64(0); m < 1<<len(b.Consequent)-1; m++ {
+			sub = pick(sub[:0], b.Consequent, m)
+			for ii := t.find(b.Antecedent, sub); ii >= 0; ii = t.next[ii] {
+				a := &rs[ii]
 				// Condition 2: keyword in the shared antecedent.
 				if a.Antecedent.Contains(keyword) {
 					if opts.CLift*b.Lift >= a.Lift && opts.CSupp*b.Support >= a.Support {
@@ -136,11 +145,80 @@ func Prune(rs []rules.Rule, keyword itemset.Item, opts Options) ([]rules.Rule, S
 	}
 
 	out := make([]rules.Rule, 0, len(rs))
-	for i, r := range rs {
+	for i := range rs {
 		if !pruned[i] {
-			out = append(out, r)
+			out = append(out, rs[i])
 		}
 	}
 	stats.Kept = len(out)
 	return out, stats
+}
+
+// pick appends to dst the items of s whose bit is set in mask, in order, so
+// the result is canonical whenever s is.
+func pick(dst, s itemset.Set, mask uint64) itemset.Set {
+	for i, it := range s {
+		if mask&(1<<i) != 0 {
+			dst = append(dst, it)
+		}
+	}
+	return dst
+}
+
+// sideTable is an open-addressed hash table over the relevant rules keyed
+// by rules.SidesHash. A slot holds i+1 for the first relevant rs[i] with
+// its sides, 0 marks an empty slot, and next[i] chains the later relevant
+// rules with equal sides in input order (-1 ends a chain). It is sized at
+// a load factor of at most ½.
+type sideTable struct {
+	rs    []rules.Rule
+	slots []int32
+	next  []int32
+	mask  uint64
+}
+
+func newSideTable(rs []rules.Rule, relevant []int32) *sideTable {
+	size := 1
+	for size < 2*len(relevant)+1 {
+		size <<= 1
+	}
+	t := &sideTable{
+		rs:    rs,
+		slots: make([]int32, size),
+		next:  make([]int32, len(rs)),
+		mask:  uint64(size - 1),
+	}
+	// Walking backwards and pushing onto each chain's head leaves every
+	// chain in input order.
+	for k := len(relevant) - 1; k >= 0; k-- {
+		i := relevant[k]
+		h := t.slot(rs[i].Antecedent, rs[i].Consequent)
+		t.next[i] = t.slots[h] - 1
+		t.slots[h] = i + 1
+	}
+	return t
+}
+
+// slot returns the slot holding the chain of rules with sides (ante, cons),
+// or the empty slot where it belongs. Every hash hit is confirmed with
+// Set.Equal.
+func (t *sideTable) slot(ante, cons itemset.Set) uint64 {
+	h := rules.SidesHash(ante, cons) & t.mask
+	for {
+		v := t.slots[h]
+		if v == 0 {
+			return h
+		}
+		r := &t.rs[v-1]
+		if r.Antecedent.Equal(ante) && r.Consequent.Equal(cons) {
+			return h
+		}
+		h = (h + 1) & t.mask
+	}
+}
+
+// find returns the index of the first relevant rule with sides (ante,
+// cons), or -1.
+func (t *sideTable) find(ante, cons itemset.Set) int32 {
+	return t.slots[t.slot(ante, cons)] - 1
 }

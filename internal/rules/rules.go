@@ -38,6 +38,30 @@ type Rule struct {
 	Conviction float64
 }
 
+// SidesHash is a 64-bit FNV-1a hash of the antecedent items, a separator,
+// then the consequent items, so the splits of one itemset hash apart. The
+// final fold feeds the high bits into the low ones a power-of-two table
+// masks. Equal sides hash equal; distinct sides may collide, so callers
+// must confirm matches with Set.Equal.
+func SidesHash(ante, cons itemset.Set) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, it := range ante {
+		h ^= uint64(uint32(it))
+		h *= prime64
+	}
+	h ^= math.MaxUint64
+	h *= prime64
+	for _, it := range cons {
+		h ^= uint64(uint32(it))
+		h *= prime64
+	}
+	return h ^ h>>32
+}
+
 // Items returns the union of both sides.
 func (r Rule) Items() itemset.Set { return r.Antecedent.Union(r.Consequent) }
 

@@ -16,7 +16,7 @@ type metrics struct {
 	encodePanics  atomic.Int64 // poison events whose encode panicked (recovered)
 	mineCount     atomic.Int64 // snapshots published
 	lastMineNanos atomic.Int64 // duration of the latest re-mine
-	lastMineTxns  atomic.Int64 // transactions the latest re-mine added since the previous capture
+	lastMineTxns  atomic.Int64 // transactions the latest published re-mine added since the previous capture
 	minePanics    atomic.Int64 // mines that panicked (recovered, snapshot kept)
 	mineTimeouts  atomic.Int64 // mines abandoned by the watchdog
 	degraded      atomic.Int32 // current failure mode: 0 healthy, see degradeReasonString

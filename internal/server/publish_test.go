@@ -260,11 +260,42 @@ func benchIndex(b *testing.B, build func(*stream.View) *RuleIndex) {
 	}
 }
 
+// A cold keyword analysis on the shared fixture's second publish: every
+// iteration builds a fresh index outside the timer and times its first
+// Analysis call, the relevant-rule copy, the pruning and both splits, as
+// a request pays it after each publish. The keywords are the ones
+// perfbench's query-mix sends. The oracle twin, which prunes with the
+// bucket scan Prune replaced, is BenchmarkKeywordAnalysisMissOracle in
+// internal/pruning.
+func BenchmarkKeywordAnalysisMiss(b *testing.B) {
+	_, cur, err := benchfix.PublishPoints()
+	if err != nil {
+		b.Fatal(err)
+	}
+	resolve := NewRuleIndex(cur)
+	for _, kw := range []string{"failed", "gpu_type=T4", "user_tier=frequent"} {
+		item, _, err := resolve.Resolve(kw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(kw, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ix := NewRuleIndex(cur)
+				b.StartTimer()
+				analysisSink = ix.Analysis(item, 1.5, 1.5)
+			}
+		})
+	}
+}
+
 // The benchmark sinks keep each measured result alive.
 var (
-	indexSink *RuleIndex
-	rulesSink []rules.Rule
-	orderSink []int32
+	indexSink    *RuleIndex
+	analysisSink *keywordAnalysis
+	rulesSink    []rules.Rule
+	orderSink    []int32
 )
 
 // keywordList is the 50 highest-lift fixture rules mentioning one item: the

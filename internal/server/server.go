@@ -682,7 +682,6 @@ type mineOutcome struct {
 func (s *Server) mine(miner *stream.Miner, txns int) {
 	start := s.clock.Now()
 	pv := miner.BeginView()
-	s.metrics.lastMineTxns.Store(int64(txns))
 	outcome := make(chan mineOutcome, 1)
 	go func() {
 		defer func() {
@@ -706,7 +705,7 @@ func (s *Server) mine(miner *stream.Miner, txns int) {
 			s.degrade(degradedMinePanic)
 			return
 		}
-		s.publish(out.view, start)
+		s.publish(out.view, start, txns)
 	case <-timeout:
 		// The goroutine is beyond recall; it holds only its PendingView
 		// (a private catalog clone plus immutable window sets), so the
@@ -756,16 +755,20 @@ func NewSnapshot(prev *Snapshot, first int64, view *stream.View, clock faultinje
 }
 
 // publish swaps in a freshly mined snapshot of the window captured at
-// start. The first mine is seq 1 on a cold start; after a restore it
-// republishes the checkpointed window under its recorded seq, so numbering
-// continues exactly where the previous instance stopped.
-func (s *Server) publish(view *stream.View, start time.Time) {
+// start, which added txns transactions. The first mine is seq 1 on a cold
+// start; after a restore it republishes the checkpointed window under its
+// recorded seq, so numbering continues exactly where the previous instance
+// stopped. last_mine_txns is stored with the publish counter, not at
+// capture, so a reader never pairs one mine's count with the next mine's
+// transactions.
+func (s *Server) publish(view *stream.View, start time.Time, txns int) {
 	snap := NewSnapshot(s.snap.Load(), max(s.seqBase, 1), view, s.clock, start, false)
 	// A clean mine ends any degraded state. Clear the flag before the swap,
 	// so a reader that sees the new seq never sees the old failure.
 	s.metrics.degraded.Store(degradedNone)
 	s.snap.Store(snap)
 	s.watch.Publish(snap)
+	s.metrics.lastMineTxns.Store(int64(txns))
 	s.metrics.mineCount.Add(1)
 	s.metrics.lastMineNanos.Store(int64(snap.MineDuration))
 }

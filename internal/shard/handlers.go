@@ -141,16 +141,31 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for i, s := range c.shards {
 		shards[i] = s.Metrics()
 	}
+	hits, misses := c.mergedCacheStats()
 	server.WriteJSON(w, http.StatusOK, map[string]any{
-		"shards":                    len(c.shards),
-		"tenant_field":              c.cfg.TenantField,
-		"rejected_total":            c.rejected.Load(),
-		"quota_rejections_total":    c.quotaRejections.Load(),
-		"merged_watch_subscribers":  c.mergedWatch.Subscribers(),
-		"merged_watch_events_total": c.mergedWatch.EventsPublished(),
-		"tenants":                   tenants,
-		"shard":                     shards,
+		"shards":                      len(c.shards),
+		"tenant_field":                c.cfg.TenantField,
+		"rejected_total":              c.rejected.Load(),
+		"quota_rejections_total":      c.quotaRejections.Load(),
+		"merged_watch_subscribers":    c.mergedWatch.Subscribers(),
+		"merged_watch_events_total":   c.mergedWatch.EventsPublished(),
+		"merged_keyword_cache_hits":   hits,
+		"merged_keyword_cache_misses": misses,
+		"tenants":                     tenants,
+		"shard":                       shards,
 	})
+}
+
+// mergedCacheStats reads the keyword-analysis cache counters of the last
+// merged snapshot's index, as a shard's metrics read its own snapshot's.
+// It never remerges: a scrape must not pay for a merge, so the counters
+// belong to the last merged view even when a shard has published since,
+// and are zero before the first merge.
+func (c *Cluster) mergedCacheStats() (hits, misses int64) {
+	if m := c.merged.Load(); m != nil && m.snap.Index != nil {
+		return m.snap.Index.CacheStats()
+	}
+	return 0, 0
 }
 
 // promEscape escapes a label value per the Prometheus text exposition
@@ -161,8 +176,9 @@ func promEscape(v string) string {
 }
 
 // writePrometheus renders the satellite scrape surface: per-tenant ingest
-// and quota counters, and per-shard mining gauges, all with deterministic
-// ordering so the output is diffable.
+// and quota counters, per-shard mining gauges, and the merged view's
+// keyword-cache counters, all with deterministic ordering so the output is
+// diffable.
 func (c *Cluster) writePrometheus(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
@@ -222,6 +238,14 @@ func (c *Cluster) writePrometheus(w http.ResponseWriter) {
 	for i := range gauges {
 		fmt.Fprintf(&b, "armine_shard_ingest_accepted_total{shard=\"%d\"} %d\n", i, gauges[i].accepted)
 	}
+
+	hits, misses := c.mergedCacheStats()
+	fmt.Fprintf(&b, "# HELP armine_merged_keyword_cache_hits_total Keyword analyses the merged view's index served from its cache.\n")
+	fmt.Fprintf(&b, "# TYPE armine_merged_keyword_cache_hits_total counter\n")
+	fmt.Fprintf(&b, "armine_merged_keyword_cache_hits_total %d\n", hits)
+	fmt.Fprintf(&b, "# HELP armine_merged_keyword_cache_misses_total Keyword analyses the merged view's index computed cold.\n")
+	fmt.Fprintf(&b, "# TYPE armine_merged_keyword_cache_misses_total counter\n")
+	fmt.Fprintf(&b, "armine_merged_keyword_cache_misses_total %d\n", misses)
 
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte(b.String()))

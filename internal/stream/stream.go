@@ -332,8 +332,9 @@ type Delta struct {
 // Jaccard, and every copy of an appeared or vanished rule is listed.
 //
 // Both lists go into one open-addressed table of rule positions keyed by
-// ruleHash, so the diff costs integer work per rule; every probe hit is
-// confirmed with Set.Equal, so a hash collision never misclassifies a rule.
+// rules.SidesHash, so the diff costs integer work per rule; every probe
+// hit is confirmed with Set.Equal, so a hash collision never misclassifies
+// a rule.
 func Diff(prev, cur []rules.Rule) Delta {
 	t := newRuleTable(prev, cur)
 	// at[i] is the slot holding prev[i]'s structure, shared by its copies.
@@ -403,7 +404,7 @@ func newRuleTable(prev, cur []rules.Rule) *ruleTable {
 // slot returns the slot holding r's structure, or the empty slot where it
 // belongs.
 func (t *ruleTable) slot(r *rules.Rule) uint64 {
-	h := ruleHash(r) & t.mask
+	h := rules.SidesHash(r.Antecedent, r.Consequent) & t.mask
 	for {
 		v := t.slots[h]
 		if v == 0 {
@@ -420,28 +421,6 @@ func (t *ruleTable) slot(r *rules.Rule) uint64 {
 		}
 		h = (h + 1) & t.mask
 	}
-}
-
-// ruleHash is a 64-bit FNV-1a hash of the antecedent items, a separator,
-// then the consequent items, so the splits of one itemset hash apart. The
-// final fold feeds the high bits into the low ones the table masks.
-func ruleHash(r *rules.Rule) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, it := range r.Antecedent {
-		h ^= uint64(uint32(it))
-		h *= prime64
-	}
-	h ^= math.MaxUint64
-	h *= prime64
-	for _, it := range r.Consequent {
-		h ^= uint64(uint32(it))
-		h *= prime64
-	}
-	return h ^ h>>32
 }
 
 // KeywordDelta narrows a delta to the rules mentioning the keyword on

@@ -19,7 +19,9 @@
 # build, per-request keyword-list sort) work the same way: each stage's
 # replaced implementation is kept as a test oracle and benchmarked as the
 # Oracle twin in the same run. So is the cluster remerge: the union-window
-# mine against the SON merge it replaced, kept as its test oracle.
+# mine against the SON merge it replaced, kept as its test oracle, and the
+# cold keyword analysis: the sub-side probe pruning against the bucket scan
+# it replaced.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,13 +87,16 @@ echo "wrote $OUT" >&2
 # snapshot, the indexed handlers against the in-tree linear oracle. Then
 # the publish step on the shared 5000-job PAI fixture (internal/benchfix):
 # stream.Diff and NewRuleIndex against their oracles, plus the 50-rule
-# per-request sort. Last, the cluster remerge of that fixture window split
-# over three shards, against the SON merge oracle.
+# per-request sort. Then the cluster remerge of that fixture window split
+# over three shards, against the SON merge oracle. Last, a cold keyword
+# analysis on a fresh index of the fixture's second publish, for each
+# keyword perfbench's query-mix sends, against the pruning oracle.
 SERVING_OUT=BENCH_serving.json
 : >"$raw"
-run ./internal/server 'BenchmarkServing|BenchmarkNewRuleIndex|BenchmarkApplyQuerySort'
+run ./internal/server 'BenchmarkServing|BenchmarkNewRuleIndex|BenchmarkApplyQuerySort|BenchmarkKeywordAnalysisMiss'
 run ./internal/stream 'BenchmarkDiff'
 run ./internal/shard 'BenchmarkRemerge'
+run ./internal/pruning 'BenchmarkKeywordAnalysisMissOracle'
 
 jq -Rn --arg go "$(go version | awk '{print $3}')" --arg benchtime "$BENCHTIME" '
   [inputs | split("\t") |
@@ -100,7 +105,7 @@ jq -Rn --arg go "$(go version | awk '{print $3}')" --arg benchtime "$BENCHTIME" 
     allocs_per_op: (.[5] | tonumber)}]
   | map({key: .name, value: .}) | from_entries as $b
   | {generated_by: "scripts/bench.sh", go: $go, benchtime: $benchtime,
-     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window; the SON merge against the union-window mine on that window split over three shards",
+     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window; the SON merge against the union-window mine on that window split over three shards; the bucket-scan pruning oracle against the sub-side probes in a cold keyword analysis of that window",
      results: [
        {query: "repeated ?keyword= analysis",
         before: $b.BenchmarkServingKeywordLinear,
@@ -120,6 +125,10 @@ jq -Rn --arg go "$(go version | awk '{print $3}')" --arg benchtime "$BENCHTIME" 
        {query: "cluster remerge",
         before: $b.BenchmarkRemergeOracle,
         after: $b.BenchmarkRemerge}
+     ] + [("failed", "gpu_type=T4", "user_tier=frequent") as $kw |
+       {query: "keyword analysis (cold): \($kw)",
+        before: $b["BenchmarkKeywordAnalysisMissOracle/\($kw)"],
+        after: $b["BenchmarkKeywordAnalysisMiss/\($kw)"]}
      ] | map(. + {speedup: ((.before.ns_per_op / .after.ns_per_op) * 10 | round / 10)})}
   ' <"$raw" >"$SERVING_OUT"
 echo "wrote $SERVING_OUT" >&2
