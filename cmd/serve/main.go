@@ -14,6 +14,7 @@
 //	                     for long-poll; resume via Last-Event-ID = snapshot seq)
 //	GET  /healthz        liveness plus snapshot age; 503 once draining begins
 //	GET  /metrics        ingest/mining counters as flat JSON
+//	                     (?format=prometheus for the text scrape format)
 //
 // Example against a generated trace:
 //
@@ -63,8 +64,8 @@
 // /v1/rules then serves the merged global view — the union of the shard
 // windows, mined by the single server's code — and GET
 // /v1/tenants/{id}/rules serves one tenant's shard view. /healthz and
-// /metrics aggregate across shards; /metrics?format=prometheus emits
-// per-tenant and per-shard counters in scrape format.
+// /metrics aggregate across shards; /metrics?format=prometheus emits the
+// cluster, per-tenant and per-shard counters in scrape format.
 package main
 
 import (

@@ -506,7 +506,7 @@ func TestClusterWiring(t *testing.T) {
 	}
 	scrape, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(scrape), "armine_cluster_shards 3") {
+	if !strings.Contains(string(scrape), "armine_shards 3") {
 		t.Fatalf("scrape output missing shard gauge:\n%s", scrape)
 	}
 }

@@ -22,17 +22,6 @@ var modelFamilies = map[string]string{
 	"dlrm": "RecSys", "din": "RecSys", "dssm": "RecSys",
 }
 
-// ModelFamilyGroups returns a copy of the paper's model → workload-family
-// aggregation, for callers outside the batch pipeline (the serving
-// encoder builds its live PAI spec from it).
-func ModelFamilyGroups() map[string]string {
-	out := make(map[string]string, len(modelFamilies))
-	for k, v := range modelFamilies {
-		out[k] = v
-	}
-	return out
-}
-
 // PAIPipeline is the canonical configuration for the PAI trace: spike "Std"
 // bins on the request columns (about half the jobs request exactly the
 // default 600 cores), a zero bin on SM utilization and GPU memory used, the

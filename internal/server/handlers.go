@@ -508,6 +508,13 @@ func applyQuery(rs []rules.Rule, q ruleQuery) []rules.Rule {
 	case "confidence":
 		order = sortedOrder(rs, func(r *rules.Rule) float64 { return r.Confidence })
 	}
+	return page(rs, order, q)
+}
+
+// page walks rs in order (nil means as stored), skips the rules the query's
+// metric floors reject and then its offset, and copies out at most limit
+// rules. Without floors the walk is O(offset+limit).
+func page(rs []rules.Rule, order []int32, q ruleQuery) []rules.Rule {
 	out := make([]rules.Rule, 0, min(q.limit, len(rs)))
 	skip := q.offset
 	for i := range rs {
@@ -719,18 +726,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		status = http.StatusServiceUnavailable
 	}
 	WriteJSON(w, status, h)
-}
-
-// Metrics returns the /metrics counters and gauges as a flat JSON-ready
-// map — the per-shard block a coordinator embeds in its aggregate.
-func (s *Server) Metrics() map[string]any { return s.metricsView() }
-
-// Accepted returns how many events this server has enqueued for its mining
-// loop: the /metrics ingest_accepted counter, without building the map.
-func (s *Server) Accepted() int64 { return s.metrics.accepted.Load() }
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	WriteJSON(w, http.StatusOK, s.metricsView())
 }
 
 func intParam(raw string, def int) (int, error) {

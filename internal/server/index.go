@@ -190,33 +190,10 @@ func (ix *RuleIndex) order(sortKey string) []int32 {
 	}
 }
 
-// collect walks the requested order applying metric filters and
-// pagination, materializing only the page it returns. With no filters the
-// walk is O(offset+limit); filters skip non-matching rules without copying
-// them.
+// collect pages the snapshot's rules through the query along the index's
+// precomputed order for its sort key.
 func (ix *RuleIndex) collect(q ruleQuery) []rules.Rule {
-	rs := ix.view.Rules
-	order := ix.order(q.sortKey)
-	out := make([]rules.Rule, 0, min(q.limit, len(rs)))
-	skip := q.offset
-	for i := 0; i < len(rs); i++ {
-		r := &rs[i]
-		if order != nil {
-			r = &rs[order[i]]
-		}
-		if !q.matches(r) {
-			continue
-		}
-		if skip > 0 {
-			skip--
-			continue
-		}
-		out = append(out, *r)
-		if len(out) == q.limit {
-			break
-		}
-	}
-	return out
+	return page(ix.view.Rules, ix.order(q.sortKey), q)
 }
 
 // Relevant returns the rules containing item, in snapshot order — the

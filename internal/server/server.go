@@ -10,7 +10,7 @@
 // via atomic.Pointer, so queries never block on mining and mining never
 // blocks on queries. Operators query pruned keyword rule tables
 // (/v1/rules), rule drift between consecutive snapshots (/v1/drift), and
-// plain-JSON counters (/metrics).
+// counters as JSON or Prometheus text (/metrics).
 //
 // Durability is layered: a checkpoint (internal/server/checkpoint.go)
 // makes restarts cheap, and a write-ahead log (internal/wal) makes them
@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -114,9 +115,6 @@ type Config struct {
 	FsyncInterval time.Duration
 	// WALSegmentBytes sizes WAL segments; zero means 8 MiB.
 	WALSegmentBytes int64
-	// WALStrict makes a mid-log CRC mismatch fail startup instead of
-	// skipping the damaged frame.
-	WALStrict bool
 	// FS is the filesystem seam for the WAL and checkpoints; nil means
 	// the real filesystem. Chaos tests inject failures through it.
 	FS faultinject.FS
@@ -371,7 +369,6 @@ func (s *Server) openWALAndReplay(miner *stream.Miner, enc *encoder) error {
 		Sync:         policy,
 		SyncInterval: s.cfg.FsyncInterval,
 		SegmentBytes: s.cfg.WALSegmentBytes,
-		Strict:       s.cfg.WALStrict,
 		FS:           s.fs,
 		Clock:        s.clock,
 	})
@@ -770,40 +767,29 @@ func (s *Server) publish(view *stream.View, start time.Time, txns int) {
 	s.watch.Publish(snap)
 	s.metrics.lastMineTxns.Store(int64(txns))
 	s.metrics.mineCount.Add(1)
-	s.metrics.lastMineNanos.Store(int64(snap.MineDuration))
 }
 
 // Watch exposes the drift push hub, so a fronting tier (the shard cluster)
 // can route /v1/drift/watch traffic or hang a merge trigger off publishes.
 func (s *Server) Watch() *WatchHub { return s.watch }
 
-// PAISpec is the live-serving counterpart of core.PAIPipeline: the same
-// bins, tiers and aggregations, declared over event fields instead of
-// frame columns. Use it to serve the PAI-shaped traces tracegen emits.
+// PAISpec is the live-serving counterpart of core.PAIPipeline, derived
+// from it: the same bins, tiers, aggregations and skipped columns, declared
+// over event fields instead of frame columns, plus multi_task read as a
+// bool from CSV. Use it to serve the PAI-shaped traces tracegen emits.
 func PAISpec() Spec {
-	return Spec{
-		Numeric: []NumericSpec{
-			{Field: "cpu_request", SpikeThreshold: 0.3},
-			{Field: "gpu_request"},
-			{Field: "mem_request_gb", SpikeThreshold: 0.3},
-			{Field: "queue_s"},
-			{Field: "runtime_s"},
-			{Field: "cpu_util", ZeroSpecial: true, ZeroLabel: "Bin0", ZeroEpsilon: 0.5},
-			{Field: "sm_util", ZeroSpecial: true, ZeroEpsilon: 0.5},
-			{Field: "mem_used_gb"},
-			{Field: "gmem_used_gb", ZeroSpecial: true, ZeroLabel: "0GB", ZeroEpsilon: 0.05},
-		},
-		Tiers: []TierSpec{
-			{Field: "user", Out: "user_tier"},
-			{Field: "group", Out: "group_tier"},
-		},
-		Maps: []MapSpec{
-			{Field: "model", Out: "model_class", Groups: core.ModelFamilyGroups(), Fallback: "other"},
-			{Field: "gpu_type", Groups: map[string]string{
-				"t4": "T4", "p100": "NonT4", "v100": "NonT4", "none": "None",
-			}},
-		},
-		Bools: []string{"multi_task"},
-		Skip:  []string{"job_id", "submit_s", "num_tasks"},
+	p := core.PAIPipeline()
+	spec := Spec{Bools: []string{"multi_task"}, Skip: p.Skip}
+	for _, f := range p.Features {
+		spec.Numeric = append(spec.Numeric, NumericSpec{Field: f.Column, Bins: f.Bins,
+			ZeroSpecial: f.ZeroSpecial, ZeroLabel: f.ZeroLabel, ZeroEpsilon: f.ZeroEpsilon,
+			SpikeThreshold: f.SpikeThreshold, SpikeLabel: f.SpikeLabel})
 	}
+	for _, t := range p.Tiers {
+		spec.Tiers = append(spec.Tiers, TierSpec{Field: t.Column, Out: t.Out, TopShare: t.TopShare, BottomShare: t.BottomShare})
+	}
+	for _, m := range p.Maps {
+		spec.Maps = append(spec.Maps, MapSpec{Field: m.Column, Out: m.Out, Groups: maps.Clone(m.Groups), Fallback: m.Fallback})
+	}
+	return spec
 }

@@ -1,9 +1,9 @@
 package shard
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/server"
@@ -112,141 +112,66 @@ func (c *Cluster) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	server.WriteJSON(w, status, ch)
 }
 
-// tenantMetrics is one tenant's block in the JSON /metrics body.
-type tenantMetrics struct {
-	Shard           int   `json:"shard"`
-	IngestedTotal   int64 `json:"ingested_total"`
-	QuotaRejections int64 `json:"quota_rejections_total"`
+// handleMetrics serves the cluster's samples in both renderings.
+func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	samples, body := c.metrics()
+	server.ServeMetrics(w, r, samples, body)
 }
 
-// handleMetrics serves cluster counters. The default body is JSON (cluster
-// totals, a per-tenant map, and every shard's own metrics block);
-// ?format=prometheus renders the text exposition format for scrape jobs.
-func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		c.writePrometheus(w)
-		return
+// metrics reads the cluster's counters, then each tenant's in name order
+// (labelled tenant and shard), then every shard server's (labelled shard).
+// The JSON body renders the same samples, nesting each tenant's under
+// tenants[name] and each shard's under shard[i].
+func (c *Cluster) metrics() ([]server.Sample, map[string]any) {
+	// A scrape never pays for a merge: the merged view's cache counters are
+	// the last merged snapshot's, 0 before the first merge.
+	var hits, misses int64
+	if m := c.merged.Load(); m != nil && m.snap.Index != nil {
+		hits, misses = m.snap.Index.CacheStats()
 	}
-	tenants := map[string]tenantMetrics{}
+	out := []server.Sample{
+		server.Gauge("shards", "Number of shard miners in the cluster.", len(c.shards)),
+		server.Gauge("tenant_field", "Event field that names the tenant.", c.cfg.TenantField),
+		server.Counter("rejected_total", "Lines refused before routing: unparseable, bad tenant key or failed validation.", c.rejected.Load()),
+		server.Counter("quota_rejections_total", "Events refused by tenant quotas, all tenants.", c.quotaRejections.Load()),
+		server.Gauge("merged_watch_subscribers", "Open merged drift watch streams.", c.mergedWatch.Subscribers()),
+		server.Counter("merged_watch_events_total", "Merged drift events published.", c.mergedWatch.EventsPublished()),
+		server.Counter("merged_keyword_cache_hits", "Keyword analyses the merged view's index served from its cache.", hits),
+		server.Counter("merged_keyword_cache_misses", "Keyword analyses the merged view's index computed cold.", misses),
+	}
+	body := server.MetricsJSON(out)
+	tenants := map[string]map[string]any{}
 	c.tenantsMu.RLock()
-	for name, ts := range c.tenants {
-		tenants[name] = tenantMetrics{
-			Shard:           ts.shard,
-			IngestedTotal:   ts.ingested.Load(),
-			QuotaRejections: ts.quotaRejections.Load(),
-		}
+	names := make([]string, 0, len(c.tenants))
+	for name := range c.tenants {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		ts := c.tenants[name]
+		samples := labelled([]server.Label{{Name: "tenant", Value: name}, {Name: "shard", Value: strconv.Itoa(ts.shard)}},
+			server.Gauge("shard", "Shard the tenant routes to.", ts.shard),
+			server.Counter("ingested_total", "Events accepted and routed, per tenant.", ts.ingested.Load()),
+			server.Counter("quota_rejections_total", "Events refused by the tenant ingest quota.", ts.quotaRejections.Load()),
+		)
+		tenants[name] = server.MetricsJSON(samples)
+		out = append(out, samples...)
 	}
 	c.tenantsMu.RUnlock()
 	shards := make([]map[string]any, len(c.shards))
 	for i, s := range c.shards {
-		shards[i] = s.Metrics()
+		samples := s.Samples()
+		shards[i] = server.MetricsJSON(samples)
+		out = append(out, labelled([]server.Label{{Name: "shard", Value: strconv.Itoa(i)}}, samples...)...)
 	}
-	hits, misses := c.mergedCacheStats()
-	server.WriteJSON(w, http.StatusOK, map[string]any{
-		"shards":                      len(c.shards),
-		"tenant_field":                c.cfg.TenantField,
-		"rejected_total":              c.rejected.Load(),
-		"quota_rejections_total":      c.quotaRejections.Load(),
-		"merged_watch_subscribers":    c.mergedWatch.Subscribers(),
-		"merged_watch_events_total":   c.mergedWatch.EventsPublished(),
-		"merged_keyword_cache_hits":   hits,
-		"merged_keyword_cache_misses": misses,
-		"tenants":                     tenants,
-		"shard":                       shards,
-	})
+	body["tenants"], body["shard"] = tenants, shards
+	return out, body
 }
 
-// mergedCacheStats reads the keyword-analysis cache counters of the last
-// merged snapshot's index, as a shard's metrics read its own snapshot's.
-// It never remerges: a scrape must not pay for a merge, so the counters
-// belong to the last merged view even when a shard has published since,
-// and are zero before the first merge.
-func (c *Cluster) mergedCacheStats() (hits, misses int64) {
-	if m := c.merged.Load(); m != nil && m.snap.Index != nil {
-		return m.snap.Index.CacheStats()
+// labelled puts labels on every sample.
+func labelled(labels []server.Label, samples ...server.Sample) []server.Sample {
+	for i := range samples {
+		samples[i].Labels = labels
 	}
-	return 0, 0
-}
-
-// promEscape escapes a label value per the Prometheus text exposition
-// format: backslash, double quote and newline.
-func promEscape(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
-// writePrometheus renders the satellite scrape surface: per-tenant ingest
-// and quota counters, per-shard mining gauges, and the merged view's
-// keyword-cache counters, all with deterministic ordering so the output is
-// diffable.
-func (c *Cluster) writePrometheus(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b strings.Builder
-
-	type trow struct {
-		name string
-		ts   *tenantStats
-	}
-	c.tenantsMu.RLock()
-	rows := make([]trow, 0, len(c.tenants))
-	for name, ts := range c.tenants {
-		rows = append(rows, trow{name, ts})
-	}
-	c.tenantsMu.RUnlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-
-	fmt.Fprintf(&b, "# HELP armine_cluster_shards Number of shard miners in the cluster.\n")
-	fmt.Fprintf(&b, "# TYPE armine_cluster_shards gauge\n")
-	fmt.Fprintf(&b, "armine_cluster_shards %d\n", len(c.shards))
-
-	fmt.Fprintf(&b, "# HELP armine_tenant_ingested_total Events accepted and routed, per tenant.\n")
-	fmt.Fprintf(&b, "# TYPE armine_tenant_ingested_total counter\n")
-	for _, row := range rows {
-		fmt.Fprintf(&b, "armine_tenant_ingested_total{tenant=\"%s\",shard=\"%d\"} %d\n",
-			promEscape(row.name), row.ts.shard, row.ts.ingested.Load())
-	}
-	fmt.Fprintf(&b, "# HELP armine_tenant_quota_rejections_total Events refused by the tenant ingest quota.\n")
-	fmt.Fprintf(&b, "# TYPE armine_tenant_quota_rejections_total counter\n")
-	for _, row := range rows {
-		fmt.Fprintf(&b, "armine_tenant_quota_rejections_total{tenant=\"%s\",shard=\"%d\"} %d\n",
-			promEscape(row.name), row.ts.shard, row.ts.quotaRejections.Load())
-	}
-
-	fmt.Fprintf(&b, "# HELP armine_shard_mine_duration_seconds Duration of the shard's latest re-mine.\n")
-	fmt.Fprintf(&b, "# TYPE armine_shard_mine_duration_seconds gauge\n")
-	type shardGauge struct {
-		seq      int64
-		accepted int64
-		dur      float64
-	}
-	gauges := make([]shardGauge, len(c.shards))
-	for i, s := range c.shards {
-		if snap := s.Snapshot(); snap != nil {
-			gauges[i].seq = snap.Seq
-			gauges[i].dur = snap.MineDuration.Seconds()
-		}
-		gauges[i].accepted = s.Accepted()
-		fmt.Fprintf(&b, "armine_shard_mine_duration_seconds{shard=\"%d\"} %g\n", i, gauges[i].dur)
-	}
-	fmt.Fprintf(&b, "# HELP armine_shard_snapshot_seq Latest published snapshot sequence number.\n")
-	fmt.Fprintf(&b, "# TYPE armine_shard_snapshot_seq gauge\n")
-	for i := range gauges {
-		fmt.Fprintf(&b, "armine_shard_snapshot_seq{shard=\"%d\"} %d\n", i, gauges[i].seq)
-	}
-	fmt.Fprintf(&b, "# HELP armine_shard_ingest_accepted_total Events enqueued into the shard's mining loop.\n")
-	fmt.Fprintf(&b, "# TYPE armine_shard_ingest_accepted_total counter\n")
-	for i := range gauges {
-		fmt.Fprintf(&b, "armine_shard_ingest_accepted_total{shard=\"%d\"} %d\n", i, gauges[i].accepted)
-	}
-
-	hits, misses := c.mergedCacheStats()
-	fmt.Fprintf(&b, "# HELP armine_merged_keyword_cache_hits_total Keyword analyses the merged view's index served from its cache.\n")
-	fmt.Fprintf(&b, "# TYPE armine_merged_keyword_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "armine_merged_keyword_cache_hits_total %d\n", hits)
-	fmt.Fprintf(&b, "# HELP armine_merged_keyword_cache_misses_total Keyword analyses the merged view's index computed cold.\n")
-	fmt.Fprintf(&b, "# TYPE armine_merged_keyword_cache_misses_total counter\n")
-	fmt.Fprintf(&b, "armine_merged_keyword_cache_misses_total %d\n", misses)
-
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(b.String()))
+	return samples
 }

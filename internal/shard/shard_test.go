@@ -346,12 +346,12 @@ func TestMetricsScrapeFormat(t *testing.T) {
 	body := rec.Body.String()
 	acmeShard := c.ShardFor("acme")
 	wantLines := []string{
-		"armine_cluster_shards 2",
+		"armine_shards 2",
 		"# TYPE armine_tenant_ingested_total counter",
 		`armine_tenant_ingested_total{tenant="acme",shard="` + itoa(acmeShard) + `"} 1`,
 		`armine_tenant_quota_rejections_total{tenant="acme",shard="` + itoa(acmeShard) + `"} 1`,
 		`armine_tenant_ingested_total{tenant="we\"ird",shard="` + itoa(c.ShardFor(`we"ird`)) + `"} 1`,
-		`armine_shard_mine_duration_seconds{shard="0"}`,
+		`armine_shard_last_mine_ms{shard="0"}`,
 		`armine_shard_snapshot_seq{shard="1"}`,
 	}
 	// The two accepted events count on the shards they routed to (the
