@@ -3,7 +3,8 @@
 // mined at two consecutive publish points, the input pair of stream.Diff
 // and the input of server.NewRuleIndex; keeping it in one place means the
 // stage benchmarks of different packages time the same rule lists, so
-// their numbers add up. RandomRules draws the adversarial rule lists the
+// their numbers add up; Frequent recovers the itemsets a view's rules
+// were generated from. RandomRules draws the adversarial rule lists the
 // property tests of those stages compare against their oracles.
 package benchfix
 
@@ -14,6 +15,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/fpgrowth"
 	"repro/internal/itemset"
 	"repro/internal/rules"
 	"repro/internal/stream"
@@ -78,6 +80,22 @@ func build() (*stream.View, *stream.View, error) {
 	p := miner.BeginView().Mine()
 	observe(First, Second)
 	return p, miner.BeginView().Mine(), nil
+}
+
+// Frequent re-mines a view of the fixture into the frequent itemsets its
+// rules were generated from, with the thresholds the fixture's miner
+// uses: the input of rules.Generate, which it calls with
+// v.WindowLen transactions and the default lift threshold.
+func Frequent(v *stream.View) []itemset.Frequent {
+	minSupport, maxLen, _ := stream.Thresholds(0, 0, 0)
+	db := transaction.NewDB(v.Catalog)
+	for _, txn := range v.Window {
+		db.AddCanonical(txn)
+	}
+	return fpgrowth.Mine(db, fpgrowth.Options{
+		MinCount: stream.MinCount(minSupport, len(v.Window)),
+		MaxLen:   maxLen,
+	})
 }
 
 // ties are the metric values RandomRules draws from: few enough that

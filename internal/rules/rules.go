@@ -10,12 +10,12 @@ package rules
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/itemset"
+	"repro/internal/radix"
 )
 
 // Rule is an implication Antecedent ⇒ Consequent with its quality metrics.
@@ -83,16 +83,14 @@ type Options struct {
 	// MinSupport drops rules with support below the threshold (the miner
 	// normally enforces this already via its min count).
 	MinSupport float64
-	// Workers sets the parallelism for sharding itemsets across
-	// goroutines. Zero means GOMAXPROCS; 1 forces serial generation. The
-	// output is identical for any worker count.
+	// Workers is ignored: Generate enumerates serially, since sharding
+	// the enumeration across goroutines did not pay (see DESIGN.md §5).
 	Workers int
 }
 
 // supportIndex is an open-addressed hash table from itemset to its support
 // count, keyed by Set.Hash — no string Key allocations on lookups. Slots
-// hold 1-based indices into the frequent slice; the table is built once and
-// read concurrently by every generation shard.
+// hold 1-based indices into the frequent slice.
 type supportIndex struct {
 	slots []int32
 	mask  uint64
@@ -131,157 +129,248 @@ func (ix *supportIndex) count(s itemset.Set) (int, bool) {
 }
 
 // Generate derives association rules from the mined frequent itemsets.
-// nTxns is the database size |D|. Every frequent itemset of length >= 2 is
-// split into each non-empty antecedent/consequent partition; metric
-// computation looks up the parts' supports in the frequent list itself
-// (every subset of a frequent itemset is frequent, so the lookups always
-// hit). Itemsets are sharded across opts.Workers goroutines — splits of
-// different itemsets are independent — and the shards merged and sorted
-// once, so any worker count yields the same rules in the same order:
-// descending lift, ties by descending support.
+// nTxns is the database size |D| and must be positive. Every frequent
+// itemset of length >= 2 is split into each non-empty antecedent/consequent
+// partition; metric computation reads the parts' supports from the
+// frequent list itself (every subset of a frequent itemset is frequent, so
+// the lookups always hit). The rules come out strongest first: descending
+// lift, ties by descending support, then by antecedent and then consequent
+// under compareSets, so the order is deterministic.
+//
+// The cost follows the kept rules, not the 2^k−2 splits of a k-itemset:
+// each proper subset is looked up once into a count table indexed by bit
+// mask, and a split that fails a threshold costs two table reads and a few
+// divisions. A kept split is recorded as its itemset and antecedent mask;
+// a permutation of the records is radix sorted by support and lift, sides
+// are compared only inside runs where both tie, and each Rule is then
+// written once into its final slot of an exactly sized slice.
 func Generate(frequent []itemset.Frequent, nTxns int, opts Options) []Rule {
 	if opts.MinLift == 0 {
 		opts.MinLift = 1.5
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	g := generator{ix: newSupportIndex(frequent), total: float64(nTxns), opts: opts}
+	for fi := range frequent {
+		g.enumerate(fi)
 	}
-	if workers > len(frequent) {
-		workers = len(frequent)
-	}
-	ix := newSupportIndex(frequent)
-	total := float64(nTxns)
-	var out []Rule
-	if workers <= 1 {
-		out = generateShard(ix, total, opts, 0, 1)
-	} else {
-		// Strided shards: the frequent list is sorted by length, so
-		// striding spreads the expensive long itemsets (2^k splits)
-		// evenly across workers.
-		shards := make([][]Rule, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				shards[w] = generateShard(ix, total, opts, w, workers)
-			}(w)
-		}
-		wg.Wait()
-		n := 0
-		for _, s := range shards {
-			n += len(s)
-		}
-		out = make([]Rule, 0, n)
-		for _, s := range shards {
-			out = append(out, s...)
-		}
-	}
-	Sort(out)
-	return out
+	return g.place(g.order())
 }
 
-// setArena block-allocates the kept rules' side sets, so a shard costs a
-// handful of slab allocations instead of two clones per rule.
-type setArena struct {
-	buf []itemset.Item
+// split is one kept antecedent/consequent partition of a frequent itemset:
+// bit i of mask puts the itemset's i-th item in the antecedent. ante and
+// cons are the two sides' support counts.
+type split struct {
+	mask       uint64
+	ante, cons int
+	fi         int32
 }
 
-func (a *setArena) clone(s itemset.Set) itemset.Set {
-	if cap(a.buf)-len(a.buf) < len(s) {
-		n := 4096
-		if len(s) > n {
-			n = len(s)
-		}
-		a.buf = make([]itemset.Item, 0, n)
+// splitBlock is the number of splits per storage block. Fixed blocks
+// never move once filled, so recording n splits allocates about n splits'
+// worth, where a grown slice would allocate several times that.
+const (
+	splitBlockBits = 10
+	splitBlock     = 1 << splitBlockBits
+)
+
+// generator holds Generate's working state: the kept splits and the
+// scratch reused from one itemset to the next.
+type generator struct {
+	ix    *supportIndex
+	total float64
+	opts  Options
+
+	// blocks hold the kept splits in enumeration order; n counts them.
+	blocks [][]split
+	n      int
+	// items is the summed length of the kept splits' itemsets: the size
+	// of the slab their sides are placed in.
+	items int
+
+	// counts[mask] is the support count of the subset at mask of the
+	// itemset being enumerated, 0 when the subset is not frequent. It is
+	// sized by the itemset's own length.
+	counts []int
+	sub    itemset.Set
+}
+
+// at returns the i-th kept split.
+func (g *generator) at(i int32) *split {
+	return &g.blocks[i>>splitBlockBits][i&(splitBlock-1)]
+}
+
+// ratios computes a split's confidence, consequent support and lift from
+// its itemset's count and its sides' counts. Every stage derives them
+// here, so the lift a split was kept and ranked by is the one it carries.
+func (g *generator) ratios(count, anteCount, consCount int) (confidence, consSupport, lift float64) {
+	confidence = float64(count) / float64(anteCount)
+	consSupport = float64(consCount) / g.total
+	return confidence, consSupport, confidence / consSupport
+}
+
+// enumerate records the splits of frequent[fi] that pass the thresholds.
+func (g *generator) enumerate(fi int) {
+	f := g.ix.fs[fi]
+	k := len(f.Items)
+	if k < 2 {
+		return
 	}
-	start := len(a.buf)
-	a.buf = append(a.buf, s...)
-	return itemset.Set(a.buf[start:len(a.buf):len(a.buf)])
-}
-
-// generateShard enumerates the antecedent/consequent splits of every
-// start+k*stride-th frequent itemset.
-func generateShard(ix *supportIndex, total float64, opts Options, start, stride int) []Rule {
-	var out []Rule
-	var arena setArena
-	ante := make(itemset.Set, 0, 8)
-	cons := make(itemset.Set, 0, 8)
-	for fi := start; fi < len(ix.fs); fi += stride {
-		f := ix.fs[fi]
-		k := len(f.Items)
-		if k < 2 {
+	support := float64(f.Count) / g.total
+	if support < g.opts.MinSupport {
+		// Every split of the itemset shares its support.
+		return
+	}
+	full := uint64(1)<<k - 1
+	if len(g.counts) < 1<<k {
+		g.counts = make([]int, 1<<k)
+	}
+	for mask := uint64(1); mask < full; mask++ {
+		sub := g.sub[:0]
+		for i, it := range f.Items {
+			if mask>>i&1 != 0 {
+				sub = append(sub, it)
+			}
+		}
+		g.sub = sub
+		// A subset missing from the list reads as count 0, which skips
+		// its splits exactly as a zero count does.
+		g.counts[mask], _ = g.ix.count(sub)
+	}
+	for mask := uint64(1); mask < full; mask++ {
+		anteCount, consCount := g.counts[mask], g.counts[full^mask]
+		if anteCount == 0 || consCount == 0 {
 			continue
 		}
-		// Enumerate proper non-empty subsets as antecedents via bitmask.
-		for mask := 1; mask < (1<<k)-1; mask++ {
-			ante = ante[:0]
-			cons = cons[:0]
-			for i := 0; i < k; i++ {
-				if mask&(1<<i) != 0 {
-					ante = append(ante, f.Items[i])
-				} else {
-					cons = append(cons, f.Items[i])
-				}
-			}
-			anteCount, ok := ix.count(ante)
-			if !ok || anteCount == 0 {
-				continue
-			}
-			consCount, ok := ix.count(cons)
-			if !ok || consCount == 0 {
-				continue
-			}
-			support := float64(f.Count) / total
-			confidence := float64(f.Count) / float64(anteCount)
-			consSupport := float64(consCount) / total
-			lift := confidence / consSupport
-			if lift < opts.MinLift || confidence < opts.MinConfidence || support < opts.MinSupport {
-				continue
-			}
-			anteSupport := float64(anteCount) / total
-			conviction := math.Inf(1)
-			if confidence < 1 {
-				conviction = (1 - consSupport) / (1 - confidence)
-			}
-			out = append(out, Rule{
-				Antecedent: arena.clone(ante),
-				Consequent: arena.clone(cons),
-				Count:      f.Count,
-				Support:    support,
-				Confidence: confidence,
-				Lift:       lift,
-				Leverage:   support - anteSupport*consSupport,
-				Conviction: conviction,
-			})
+		confidence, _, lift := g.ratios(f.Count, anteCount, consCount)
+		if lift < g.opts.MinLift || confidence < g.opts.MinConfidence {
+			continue
+		}
+		if g.n%splitBlock == 0 {
+			g.blocks = append(g.blocks, make([]split, splitBlock))
+		}
+		*g.at(int32(g.n)) = split{mask: mask, ante: anteCount, cons: consCount, fi: int32(fi)}
+		g.n++
+		g.items += k
+	}
+}
+
+// order returns the kept splits' indices in rule order: two stable radix
+// sorts rank them by count, then by lift, and compare orders each run of
+// equal lift and count. Support is count/nTxns, so ranking by count
+// ranks by support, ties included; and a count key has far fewer distinct
+// digits to sort than a support key.
+func (g *generator) order() []int32 {
+	n := g.n
+	// One allocation holds the keys and the radix sort's scratch copy.
+	keys := make([]uint64, 2*n)
+	perm := make([]int32, n)
+	for i := range perm {
+		keys[i] = radix.DescKey(float64(g.count(int32(i))))
+		perm[i] = int32(i)
+	}
+	_, perm = radix.Sort(keys[:n], keys[n:], perm)
+	for j, i := range perm {
+		s := g.at(i)
+		_, _, lift := g.ratios(g.ix.fs[s.fi].Count, s.ante, s.cons)
+		keys[j] = radix.DescKey(lift)
+	}
+	lifts, perm := radix.Sort(keys[:n], keys[n:], perm)
+	cmp := g.compare
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && lifts[hi] == lifts[lo] && g.count(perm[hi]) == g.count(perm[lo]) {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(perm[lo:hi], cmp)
+		}
+		lo = hi
+	}
+	return perm
+}
+
+// count is the i-th kept split's count.
+func (g *generator) count(i int32) int {
+	return g.ix.fs[g.at(i).fi].Count
+}
+
+// compare orders two splits of equal lift and count by antecedent, then
+// consequent, under compareSets, reading the sides through the masks in
+// place.
+func (g *generator) compare(a, b int32) int {
+	sa, sb := g.at(a), g.at(b)
+	fa, fb := &g.ix.fs[sa.fi], &g.ix.fs[sb.fi]
+	if c := compareMasked(fa.Items, sa.mask, fb.Items, sb.mask); c != 0 {
+		return c
+	}
+	fullA, fullB := uint64(1)<<len(fa.Items)-1, uint64(1)<<len(fb.Items)-1
+	return compareMasked(fa.Items, fullA^sa.mask, fb.Items, fullB^sb.mask)
+}
+
+// compareMasked is compareSets on the items of a selected by maskA and
+// those of b selected by maskB.
+func compareMasked(a itemset.Set, maskA uint64, b itemset.Set, maskB uint64) int {
+	if na, nb := bits.OnesCount64(maskA), bits.OnesCount64(maskB); na != nb {
+		return na - nb
+	}
+	for ; maskA != 0; maskA, maskB = maskA&(maskA-1), maskB&(maskB-1) {
+		x, y := a[bits.TrailingZeros64(maskA)], b[bits.TrailingZeros64(maskB)]
+		if x != y {
+			return int(x) - int(y)
+		}
+	}
+	return 0
+}
+
+// sides writes the items of s selected by mask, then the rest, into dst
+// (as long as s) and returns the two parts.
+func sides(dst, s itemset.Set, mask uint64) (ante, cons itemset.Set) {
+	na := bits.OnesCount64(mask)
+	a, c := 0, na
+	for i, it := range s {
+		if mask>>i&1 != 0 {
+			dst[a] = it
+			a++
+		} else {
+			dst[c] = it
+			c++
+		}
+	}
+	return dst[:na:na], dst[na:len(s):len(s)]
+}
+
+// place materialises the rules in order: each Rule is written once into
+// its slot, its sides cut from one slab of exactly the kept items.
+func (g *generator) place(order []int32) []Rule {
+	out := make([]Rule, len(order))
+	slab := make(itemset.Set, g.items)
+	for p, si := range order {
+		s := g.at(si)
+		f := &g.ix.fs[s.fi]
+		k := len(f.Items)
+		ante, cons := sides(slab[:k:k], f.Items, s.mask)
+		slab = slab[k:]
+		support := float64(f.Count) / g.total
+		confidence, consSupport, lift := g.ratios(f.Count, s.ante, s.cons)
+		anteSupport := float64(s.ante) / g.total
+		conviction := math.Inf(1)
+		if confidence < 1 {
+			conviction = (1 - consSupport) / (1 - confidence)
+		}
+		out[p] = Rule{
+			Antecedent: ante,
+			Consequent: cons,
+			Count:      f.Count,
+			Support:    support,
+			Confidence: confidence,
+			Lift:       lift,
+			Leverage:   support - anteSupport*consSupport,
+			Conviction: conviction,
 		}
 	}
 	return out
 }
 
-// Sort orders rules by descending lift, then descending support, then by a
-// deterministic structural comparison so equal-metric rules have a stable
-// order.
-func Sort(rs []Rule) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Lift != rs[j].Lift {
-			return rs[i].Lift > rs[j].Lift
-		}
-		if rs[i].Support != rs[j].Support {
-			return rs[i].Support > rs[j].Support
-		}
-		return structuralLess(rs[i], rs[j])
-	})
-}
-
-func structuralLess(a, b Rule) bool {
-	if c := compareSets(a.Antecedent, b.Antecedent); c != 0 {
-		return c < 0
-	}
-	return compareSets(a.Consequent, b.Consequent) < 0
-}
-
+// compareSets orders sets shorter first, then item by item.
 func compareSets(a, b itemset.Set) int {
 	if len(a) != len(b) {
 		return len(a) - len(b)

@@ -261,10 +261,9 @@ func TestGenerateThreeItemSplits(t *testing.T) {
 	}
 }
 
-// TestGenerateWorkersEquivalence: sharding itemsets across goroutines is a
-// scheduling choice only — on randomized frequent lattices, every worker
-// count must produce exactly the serial output, rule for rule and metric
-// for metric.
+// TestGenerateWorkersEquivalence: Options.Workers must not change the
+// output — on randomized frequent lattices, every worker count must
+// produce exactly the serial output, rule for rule and metric for metric.
 func TestGenerateWorkersEquivalence(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		g := stats.NewRNG(int64(4400 + trial))

@@ -11,7 +11,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -19,6 +18,7 @@ import (
 
 	"repro/internal/itemset"
 	"repro/internal/pruning"
+	"repro/internal/radix"
 	"repro/internal/rules"
 	"repro/internal/stream"
 )
@@ -55,12 +55,17 @@ type RuleIndex struct {
 	resolver resolver
 
 	// analyses caches pruned keyword analyses keyed on (item, CLift,
-	// CSupp). Entries are immutable once stored; the map is bounded.
+	// CSupp). An entry is pending until its ready channel closes and
+	// immutable after; the map is bounded.
 	analysesMu sync.RWMutex
 	analyses   map[analysisKey]*keywordAnalysis
 	cacheHits  atomic.Int64
 	cacheMiss  atomic.Int64
+	prune      pruneFunc
 }
+
+// pruneFunc is the pruning step of a keyword analysis: pruning.Prune.
+type pruneFunc func([]rules.Rule, itemset.Item, pruning.Options) ([]rules.Rule, pruning.Stats)
 
 type analysisKey struct {
 	item         itemset.Item
@@ -70,7 +75,13 @@ type analysisKey struct {
 // keywordAnalysis is one cached ?keyword= computation: the keyword-relevant
 // rules in snapshot order, their pruned survivors with stats, and both
 // cause/characteristic splits, so the handler only slices and renders.
+// The fields are written once, before ready is closed.
 type keywordAnalysis struct {
+	// ready is closed when the computation ends; done reports whether it
+	// completed.
+	ready chan struct{}
+	done  bool
+
 	relevant []rules.Rule
 	pruned   []rules.Rule
 	stats    pruning.Stats
@@ -84,6 +95,12 @@ type keywordAnalysis struct {
 // integer work — the orders are radix sorted — and it runs once per
 // publish, never per request.
 func NewRuleIndex(view *stream.View) *RuleIndex {
+	return newRuleIndex(view, pruning.Prune)
+}
+
+// newRuleIndex is NewRuleIndex with the keyword analyses' pruning step
+// supplied, so tests can count or fail its calls.
+func newRuleIndex(view *stream.View, prune pruneFunc) *RuleIndex {
 	items := 0
 	if view.Catalog != nil {
 		items = view.Catalog.Len()
@@ -92,6 +109,7 @@ func NewRuleIndex(view *stream.View) *RuleIndex {
 		view:     view,
 		postings: stream.IndexRules(view.Rules, items),
 		analyses: make(map[analysisKey]*keywordAnalysis),
+		prune:    prune,
 	}
 	ix.bySupport = sortedOrder(view.Rules, func(r *rules.Rule) float64 { return r.Support })
 	ix.byConfidence = sortedOrder(view.Rules, func(r *rules.Rule) float64 { return r.Confidence })
@@ -110,71 +128,11 @@ func sortedOrder(rs []rules.Rule, key func(r *rules.Rule) float64) []int32 {
 	keys := make([]uint64, 2*n)
 	order := make([]int32, n)
 	for i := range rs {
-		k := key(&rs[i])
-		if k == 0 {
-			k = 0 // -0 ties with +0, as it does under >
-		}
-		b := math.Float64bits(k)
-		if b>>63 == 1 {
-			b = ^b
-		} else {
-			b |= 1 << 63
-		}
-		// b ascends with k; its complement ascends as k descends.
-		keys[i] = ^b
+		keys[i] = radix.DescKey(key(&rs[i]))
 		order[i] = int32(i)
 	}
-	return radixSort(keys[:n], keys[n:], order)
-}
-
-// radixBits is radixSort's digit width. Seven-bit digits cost as little as
-// bytes on a full rule table and keep the per-call bucket work small for
-// the ~50-rule keyword lists applyQuery sorts per request.
-const (
-	radixBits    = 7
-	radixBuckets = 1 << radixBits
-	radixDigits  = (64 + radixBits - 1) / radixBits
-)
-
-// radixSort sorts keys ascending by a stable LSD radix sort, carrying vals
-// along, and returns vals in that order: equal keys keep their input
-// order. scratch must be as long as keys; keys, scratch and vals are
-// clobbered, and the result may be vals or a fresh slice. One pass counts
-// every digit, and a digit all keys share is skipped.
-func radixSort(keys, scratch []uint64, vals []int32) []int32 {
-	n := len(keys)
-	if n < 2 {
-		return vals
-	}
-	var counts [radixDigits][radixBuckets]int32
-	for _, k := range keys {
-		for d := range counts {
-			counts[d][k>>(radixBits*d)&(radixBuckets-1)]++
-		}
-	}
-	src, srcV := keys, vals
-	dst, dstV := scratch, make([]int32, n)
-	for d := range counts {
-		c := &counts[d]
-		shift := radixBits * d
-		if int(c[src[0]>>shift&(radixBuckets-1)]) == n {
-			continue
-		}
-		sum := int32(0)
-		for b, cnt := range c {
-			c[b] = sum
-			sum += cnt
-		}
-		for i, k := range src {
-			b := k >> shift & (radixBuckets - 1)
-			dst[c[b]] = k
-			dstV[c[b]] = srcV[i]
-			c[b]++
-		}
-		src, dst = dst, src
-		srcV, dstV = dstV, srcV
-	}
-	return srcV
+	_, order = radix.Sort(keys[:n], keys[n:], order)
+	return order
 }
 
 // order returns the precomputed permutation for a sort key; nil means the
@@ -211,43 +169,63 @@ func (ix *RuleIndex) Relevant(item itemset.Item) []rules.Rule {
 }
 
 // Analysis returns the cached keyword analysis for (item, cLift, cSupp),
-// computing and caching it on first sight. The returned value is shared and
-// immutable: callers must not mutate its slices.
+// computing and caching it on first sight. Concurrent misses of one key
+// are single-flighted: the first stores a pending entry and computes it,
+// and the others wait for that computation rather than pruning again, so
+// they count as hits. The returned value is shared and immutable: callers
+// must not mutate its slices.
 func (ix *RuleIndex) Analysis(item itemset.Item, cLift, cSupp float64) *keywordAnalysis {
 	key := analysisKey{item: item, cLift: cLift, cSupp: cSupp}
 	ix.analysesMu.RLock()
 	a := ix.analyses[key]
 	ix.analysesMu.RUnlock()
-	if a != nil {
-		ix.cacheHits.Add(1)
-		return a
-	}
-	ix.cacheMiss.Add(1)
-	relevant := ix.Relevant(item)
-	pruned, stats := pruning.Prune(relevant, item, pruning.Options{CLift: cLift, CSupp: cSupp})
-	a = &keywordAnalysis{
-		relevant:      relevant,
-		pruned:        pruned,
-		stats:         stats,
-		prunedSplit:   rules.Split(pruned, item),
-		relevantSplit: rules.Split(relevant, item),
-	}
-	ix.analysesMu.Lock()
-	if cur := ix.analyses[key]; cur != nil {
-		// A racing request computed it first; keep that copy so every
-		// reader shares one value.
-		a = cur
-	} else {
-		if len(ix.analyses) >= analysisCacheCap {
-			for k := range ix.analyses {
-				delete(ix.analyses, k)
-				break
+	if a == nil {
+		ix.analysesMu.Lock()
+		if a = ix.analyses[key]; a == nil {
+			if len(ix.analyses) >= analysisCacheCap {
+				for k := range ix.analyses {
+					delete(ix.analyses, k)
+					break
+				}
 			}
+			a = &keywordAnalysis{ready: make(chan struct{})}
+			ix.analyses[key] = a
+			ix.analysesMu.Unlock()
+			ix.cacheMiss.Add(1)
+			ix.compute(a, key)
+			return a
 		}
-		ix.analyses[key] = a
+		ix.analysesMu.Unlock()
 	}
-	ix.analysesMu.Unlock()
+	ix.cacheHits.Add(1)
+	<-a.ready
+	if !a.done {
+		// The computation panicked and withdrew its entry: compute afresh,
+		// as a request that found no entry would.
+		return ix.Analysis(item, cLift, cSupp)
+	}
 	return a
+}
+
+// compute fills a pending analysis and releases its waiters. If pruning
+// panics, the entry is withdrawn before the waiters are released, so the
+// next request retries instead of reading a half-built analysis.
+func (ix *RuleIndex) compute(a *keywordAnalysis, key analysisKey) {
+	defer func() {
+		if !a.done {
+			ix.analysesMu.Lock()
+			if ix.analyses[key] == a {
+				delete(ix.analyses, key)
+			}
+			ix.analysesMu.Unlock()
+		}
+		close(a.ready)
+	}()
+	a.relevant = ix.Relevant(key.item)
+	a.pruned, a.stats = ix.prune(a.relevant, key.item, pruning.Options{CLift: key.cLift, CSupp: key.cSupp})
+	a.prunedSplit = rules.Split(a.pruned, key.item)
+	a.relevantSplit = rules.Split(a.relevant, key.item)
+	a.done = true
 }
 
 // CacheStats reports the analysis cache's lifetime hit/miss counters.

@@ -52,9 +52,9 @@ type Config struct {
 	MaxLen int
 	// MinLift filters generated rules; zero means 1.5.
 	MinLift float64
-	// Workers sets the mining parallelism, forwarded to fpgrowth.Mine and
-	// rules.Generate. Zero means GOMAXPROCS; 1 forces serial mining. The
-	// mined rules are identical for any worker count.
+	// Workers sets the mining parallelism, forwarded to fpgrowth.Mine
+	// (rule generation is serial). Zero means GOMAXPROCS; 1 forces serial
+	// mining. The mined rules are identical for any worker count.
 	Workers int
 }
 
@@ -243,7 +243,7 @@ func (pv *PendingView) Mine() *View {
 			MaxLen:   pv.cfg.MaxLen,
 			Workers:  pv.cfg.Workers,
 		})
-		rs = rules.Generate(frequent, n, rules.Options{MinLift: pv.cfg.MinLift, Workers: pv.cfg.Workers})
+		rs = rules.Generate(frequent, n, rules.Options{MinLift: pv.cfg.MinLift})
 	}
 	return &View{
 		Rules:     rs,

@@ -19,9 +19,10 @@
 # build, per-request keyword-list sort) work the same way: each stage's
 # replaced implementation is kept as a test oracle and benchmarked as the
 # Oracle twin in the same run. So is the cluster remerge: the union-window
-# mine against the SON merge it replaced, kept as its test oracle, and the
+# mine against the SON merge it replaced, kept as its test oracle, the
 # cold keyword analysis: the sub-side probe pruning against the bucket scan
-# it replaced.
+# it replaced, and rule generation: the count-table, radix-sorted Generate
+# against the sharded, sort.Slice one it replaced.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,7 +58,7 @@ run ./internal/fpgrowth 'BenchmarkBuildInitial|BenchmarkMineByDensity|BenchmarkM
 # full tree rebuild per mine vs the maintained incremental tree.
 run ./internal/fpgrowth 'BenchmarkIncrementalMine'
 # Rule generation over the mined lattice.
-run ./internal/rules 'BenchmarkGenerate'
+run ./internal/rules 'BenchmarkGenerate$'
 # End-to-end: 20k-job PAI trace through the miner, and the HTTP server
 # ingest+mine loop.
 run . 'BenchmarkMinerFPGrowth$|BenchmarkMinerFPGrowthSequential$|BenchmarkServerIngestMine$'
@@ -88,15 +89,18 @@ echo "wrote $OUT" >&2
 # the publish step on the shared 5000-job PAI fixture (internal/benchfix):
 # stream.Diff and NewRuleIndex against their oracles, plus the 50-rule
 # per-request sort. Then the cluster remerge of that fixture window split
-# over three shards, against the SON merge oracle. Last, a cold keyword
+# over three shards, against the SON merge oracle. Then a cold keyword
 # analysis on a fresh index of the fixture's second publish, for each
-# keyword perfbench's query-mix sends, against the pruning oracle.
+# keyword perfbench's query-mix sends, against the pruning oracle. Last,
+# rule generation from that publish's frequent itemsets, against the
+# Generate oracle.
 SERVING_OUT=BENCH_serving.json
 : >"$raw"
 run ./internal/server 'BenchmarkServing|BenchmarkNewRuleIndex|BenchmarkApplyQuerySort|BenchmarkKeywordAnalysisMiss'
 run ./internal/stream 'BenchmarkDiff'
 run ./internal/shard 'BenchmarkRemerge'
 run ./internal/pruning 'BenchmarkKeywordAnalysisMissOracle'
+run ./internal/rules 'BenchmarkGenerateFixture'
 
 jq -Rn --arg go "$(go version | awk '{print $3}')" --arg benchtime "$BENCHTIME" '
   [inputs | split("\t") |
@@ -105,7 +109,7 @@ jq -Rn --arg go "$(go version | awk '{print $3}')" --arg benchtime "$BENCHTIME" 
     allocs_per_op: (.[5] | tonumber)}]
   | map({key: .name, value: .}) | from_entries as $b
   | {generated_by: "scripts/bench.sh", go: $go, benchtime: $benchtime,
-     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window; the SON merge against the union-window mine on that window split over three shards; the bucket-scan pruning oracle against the sub-side probes in a cold keyword analysis of that window",
+     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window; the SON merge against the union-window mine on that window split over three shards; the bucket-scan pruning oracle against the sub-side probes in a cold keyword analysis of that window; the replaced Generate against the current one on the frequent itemsets of that window",
      results: [
        {query: "repeated ?keyword= analysis",
         before: $b.BenchmarkServingKeywordLinear,
@@ -124,7 +128,10 @@ jq -Rn --arg go "$(go version | awk '{print $3}')" --arg benchtime "$BENCHTIME" 
         after: $b.BenchmarkApplyQuerySort},
        {query: "cluster remerge",
         before: $b.BenchmarkRemergeOracle,
-        after: $b.BenchmarkRemerge}
+        after: $b.BenchmarkRemerge},
+       {query: "rule generation",
+        before: $b.BenchmarkGenerateFixtureOracle,
+        after: $b.BenchmarkGenerateFixture}
      ] + [("failed", "gpu_type=T4", "user_tier=frequent") as $kw |
        {query: "keyword analysis (cold): \($kw)",
         before: $b["BenchmarkKeywordAnalysisMissOracle/\($kw)"],

@@ -60,11 +60,14 @@ serving_ns() { jq -r --arg n "$1" '.results[].after | select(.name == $n) | .ns_
 
 # The headline set: the windowed-delta mine of the fpgrowth.Incremental
 # library, the end-to-end PAI miner (the per-mine rebuild the serving loop
-# runs), and both indexed read paths.
+# runs), rule generation on the PAI fixture window (the largest stage of
+# every publish), and both indexed read paths.
 gate ./internal/fpgrowth 'BenchmarkIncrementalMine/incremental$' \
     'BenchmarkIncrementalMine/incremental' "$(mining_ns BenchmarkIncrementalMine/incremental)"
 gate . 'BenchmarkMinerFPGrowth$' \
     'BenchmarkMinerFPGrowth' "$(mining_ns BenchmarkMinerFPGrowth)"
+gate ./internal/rules 'BenchmarkGenerateFixture$' \
+    'BenchmarkGenerateFixture' "$(serving_ns BenchmarkGenerateFixture)"
 gate ./internal/server 'BenchmarkServingKeywordIndexed$' \
     'BenchmarkServingKeywordIndexed' "$(serving_ns BenchmarkServingKeywordIndexed)"
 gate ./internal/server 'BenchmarkServingSortIndexed$' \
