@@ -29,16 +29,16 @@
 // With -state-dir the daemon is restartable without losing fitted state:
 // the mining loop checkpoints the bin edges, activity tiers, prevalence
 // counts, item catalog and the sliding window to an atomically replaced
-// file (every -checkpoint-every mines and again when SIGTERM drains the
-// queue), and the next start restores from it — same window, same rules,
-// no re-bootstrap. -keep exempts item names (e.g. status=failed) from the
+// file (after every publish and again when SIGTERM drains the queue), and
+// the next start restores from it — same window, same rules, no
+// re-bootstrap. -keep exempts item names (e.g. status=failed) from the
 // online prevalence drop so the keyword under study cannot be deleted by a
 // failure-heavy window.
 //
 // With -wal-dir every accepted event is additionally framed into a
 // write-ahead log before it is acknowledged, and a restart replays the WAL
 // tail on top of the checkpoint — a kill -9 between checkpoints loses
-// nothing (-fsync always) or at most the last sync interval (-fsync
+// nothing (-fsync always) or at most the last 100 ms sync interval (-fsync
 // interval, the default). -mine-timeout arms a watchdog that abandons a
 // hung re-mine and keeps serving the last good snapshot, marked stale,
 // while /healthz reports the degraded state.
@@ -98,13 +98,10 @@ func main() {
 	mineBatch := flag.Int("mine-batch", 1000, "re-mine after this many new jobs; whole batches that queue up during a mine are mined together")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof profiles (e.g. localhost:6060); empty disables")
 	queue := flag.Int("queue", 8192, "ingest queue capacity (full queue => 429)")
-	watchHistory := flag.Int("watch-history", 64, "drift events retained for /v1/drift/watch Last-Event-ID resume")
 	bootstrap := flag.Int("bootstrap", 500, "jobs sampled before bin edges are fitted")
 	stateDir := flag.String("state-dir", "", "directory for the durable checkpoint; empty disables checkpoint/restore")
-	checkpointEvery := flag.Int("checkpoint-every", 1, "mines between checkpoints when -state-dir is set")
 	walDir := flag.String("wal-dir", "", "directory for the write-ahead log of accepted events; empty disables the WAL")
-	fsync := flag.String("fsync", "interval", "WAL durability: always (sync every append), interval, or never")
-	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "WAL sync cadence under -fsync interval")
+	fsync := flag.String("fsync", "interval", "WAL durability: always (sync every append), interval (every 100ms), or never")
 	mineTimeout := flag.Duration("mine-timeout", 0, "abandon a mine running longer than this and serve the last snapshot as stale (0 disables)")
 	keep := flag.String("keep", "", "comma-separated item names exempt from the prevalence drop (e.g. status=failed)")
 	numeric := flag.String("numeric", "", "generic spec: comma-separated numeric fields to quartile-bin")
@@ -124,9 +121,9 @@ func main() {
 		minSupport: *minSupport, minLift: *minLift, maxLen: *maxLen,
 		cLift: *cLift, cSupp: *cSupp,
 		mineInterval: *mineInterval, mineBatch: *mineBatch,
-		queue: *queue, bootstrap: *bootstrap, watchHistory: *watchHistory,
-		stateDir: *stateDir, checkpointEvery: *checkpointEvery, keep: splitList(*keep),
-		walDir: *walDir, fsync: *fsync, fsyncInterval: *fsyncInterval, mineTimeout: *mineTimeout,
+		queue: *queue, bootstrap: *bootstrap,
+		stateDir: *stateDir, keep: splitList(*keep),
+		walDir: *walDir, fsync: *fsync, mineTimeout: *mineTimeout,
 		numeric: splitList(*numeric), zeros: splitList(*zeros), spikes: splitList(*spikes),
 		tiers: splitList(*tiers), bools: splitList(*bools), skips: splitList(*skips),
 	})
@@ -167,10 +164,8 @@ type options struct {
 	spec                                 string
 	window, maxLen, mineBatch            int
 	queue, bootstrap                     int
-	checkpointEvery, watchHistory        int
 	minSupport, minLift, cLift, cSupp    float64
 	mineInterval, mineTimeout            time.Duration
-	fsyncInterval                        time.Duration
 	stateDir, walDir, fsync              string
 	keep                                 []string
 	numeric, zeros, spikes, tiers, bools []string
@@ -179,24 +174,21 @@ type options struct {
 
 func buildConfig(o options) (server.Config, error) {
 	cfg := server.Config{
-		WindowSize:      o.window,
-		MinSupport:      o.minSupport,
-		MinLift:         o.minLift,
-		MaxLen:          o.maxLen,
-		CLift:           o.cLift,
-		CSupp:           o.cSupp,
-		Bootstrap:       o.bootstrap,
-		MineInterval:    o.mineInterval,
-		MineBatch:       o.mineBatch,
-		QueueSize:       o.queue,
-		WatchHistory:    o.watchHistory,
-		StateDir:        o.stateDir,
-		CheckpointEvery: o.checkpointEvery,
-		KeepItems:       o.keep,
-		WALDir:          o.walDir,
-		Fsync:           o.fsync,
-		FsyncInterval:   o.fsyncInterval,
-		MineTimeout:     o.mineTimeout,
+		WindowSize:   o.window,
+		MinSupport:   o.minSupport,
+		MinLift:      o.minLift,
+		MaxLen:       o.maxLen,
+		CLift:        o.cLift,
+		CSupp:        o.cSupp,
+		Bootstrap:    o.bootstrap,
+		MineInterval: o.mineInterval,
+		MineBatch:    o.mineBatch,
+		QueueSize:    o.queue,
+		StateDir:     o.stateDir,
+		KeepItems:    o.keep,
+		WALDir:       o.walDir,
+		Fsync:        o.fsync,
+		MineTimeout:  o.mineTimeout,
 	}
 	switch o.spec {
 	case "pai":
@@ -283,7 +275,7 @@ func start(addr string, cfg server.Config, ccfg *shard.Config) error {
 // qualifies them for the cluster, whose shards each keep their own.
 func announceDurability(cfg server.Config, scope string) {
 	if cfg.StateDir != "" {
-		fmt.Printf("serve: %sdurable state in %s (checkpoint every %d mines and at drain)\n", scope, cfg.StateDir, cfg.CheckpointEvery)
+		fmt.Printf("serve: %sdurable state in %s (checkpoint after every publish and at drain)\n", scope, cfg.StateDir)
 	}
 	if cfg.WALDir != "" {
 		fmt.Printf("serve: %swrite-ahead log in %s (fsync=%s)\n", scope, cfg.WALDir, cfg.Fsync)

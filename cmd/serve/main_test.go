@@ -277,7 +277,6 @@ func TestServeWiring(t *testing.T) {
 func TestBuildConfigDurabilityFlags(t *testing.T) {
 	o := baseOptions()
 	o.stateDir = "/var/lib/armine"
-	o.checkpointEvery = 5
 	o.keep = []string{"status=failed", "status=terminated"}
 	cfg, err := buildConfig(o)
 	if err != nil {
@@ -285,9 +284,6 @@ func TestBuildConfigDurabilityFlags(t *testing.T) {
 	}
 	if cfg.StateDir != "/var/lib/armine" {
 		t.Errorf("StateDir = %q", cfg.StateDir)
-	}
-	if cfg.CheckpointEvery != 5 {
-		t.Errorf("CheckpointEvery = %d", cfg.CheckpointEvery)
 	}
 	if len(cfg.KeepItems) != 2 || cfg.KeepItems[0] != "status=failed" {
 		t.Errorf("KeepItems = %v", cfg.KeepItems)
@@ -298,7 +294,6 @@ func TestBuildConfigWALFlags(t *testing.T) {
 	o := baseOptions()
 	o.walDir = "/var/lib/armine/wal"
 	o.fsync = "always"
-	o.fsyncInterval = 250 * time.Millisecond
 	o.mineTimeout = 30 * time.Second
 	cfg, err := buildConfig(o)
 	if err != nil {
@@ -306,9 +301,6 @@ func TestBuildConfigWALFlags(t *testing.T) {
 	}
 	if cfg.WALDir != "/var/lib/armine/wal" || cfg.Fsync != "always" {
 		t.Errorf("WAL flags not applied: dir=%q fsync=%q", cfg.WALDir, cfg.Fsync)
-	}
-	if cfg.FsyncInterval != 250*time.Millisecond {
-		t.Errorf("FsyncInterval = %v", cfg.FsyncInterval)
 	}
 	if cfg.MineTimeout != 30*time.Second {
 		t.Errorf("MineTimeout = %v", cfg.MineTimeout)

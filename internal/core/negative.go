@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/rules"
+	"repro/internal/stream"
 )
 
 // NegativeRuleView is a rendered protective rule: the antecedent suppresses
@@ -26,11 +26,8 @@ func (r *Result) AnalyzeNegative(keyword string, opts rules.NegativeOptions) ([]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrKeywordUnknown, keyword)
 	}
-	minSupport := r.opts.MinSupport
-	if minSupport == 0 {
-		minSupport = 0.05
-	}
-	minCount := int(math.Ceil(minSupport * float64(r.NumTransactions)))
+	minSupport, _, _ := stream.Thresholds(r.opts.MinSupport, r.opts.MaxItemsetLen, r.opts.MinLift)
+	minCount := stream.MinCount(minSupport, r.NumTransactions)
 	neg := rules.GenerateNegative(r.Frequent, r.NumTransactions, minCount, kw, opts)
 	out := make([]NegativeRuleView, len(neg))
 	for i, nr := range neg {

@@ -13,7 +13,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/discretize"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/itemset"
 	"repro/internal/pruning"
 	"repro/internal/rules"
+	"repro/internal/stream"
 	"repro/internal/transaction"
 )
 
@@ -283,20 +283,9 @@ func (p *Pipeline) Mine(f *dataset.Frame) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	minSupport := opts.MinSupport
-	if minSupport == 0 {
-		minSupport = 0.05
-	}
-	maxLen := opts.MaxItemsetLen
-	if maxLen == 0 {
-		maxLen = 5
-	}
-	minCount := int(math.Ceil(minSupport * float64(db.Len())))
-	if minCount < 1 {
-		minCount = 1
-	}
+	minSupport, maxLen, _ := stream.Thresholds(opts.MinSupport, opts.MaxItemsetLen, opts.MinLift)
 	frequent := fpgrowth.Mine(db, fpgrowth.Options{
-		MinCount: minCount,
+		MinCount: stream.MinCount(minSupport, db.Len()),
 		MaxLen:   maxLen,
 		Workers:  opts.Workers,
 	})
@@ -312,10 +301,7 @@ func (p *Pipeline) Mine(f *dataset.Frame) (*Result, error) {
 // threshold from the mined itemsets.
 func (r *Result) Rules() []rules.Rule {
 	if !r.rulesReady {
-		minLift := r.opts.MinLift
-		if minLift == 0 {
-			minLift = 1.5
-		}
+		_, _, minLift := stream.Thresholds(r.opts.MinSupport, r.opts.MaxItemsetLen, r.opts.MinLift)
 		r.allRules = rules.Generate(r.Frequent, r.NumTransactions, rules.Options{
 			MinLift:       minLift,
 			MinConfidence: r.opts.MinConfidence,

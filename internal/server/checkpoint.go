@@ -304,6 +304,14 @@ func loadCheckpointFile(fsys faultinject.FS, path string) (*checkpointFile, erro
 	if err != nil {
 		return nil, fmt.Errorf("read checkpoint: %w", err)
 	}
+	return parseCheckpoint(data)
+}
+
+// parseCheckpoint gates one generation's bytes: the envelope must parse,
+// carry the current version and a CRC matching its payload, and the
+// payload must parse. Nothing in it is trusted until restore checks it
+// against the spec.
+func parseCheckpoint(data []byte) (*checkpointFile, error) {
 	var env checkpointEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("parse checkpoint: %w", err)

@@ -82,7 +82,6 @@ func chaosConfig(stateDir, walDir string, fs faultinject.FS) Config {
 		QueueSize:       64,
 		Workers:         1,
 		StateDir:        stateDir,
-		CheckpointEvery: 1,
 		WALDir:          walDir,
 		Fsync:           "always",
 		WALSegmentBytes: 16 << 10,

@@ -81,12 +81,10 @@ type Config struct {
 	// QueueSize bounds the ingest queue; a full queue turns POSTs into
 	// 429 responses. Zero means 8192.
 	QueueSize int
-	// WatchHistory is how many published drift events /v1/drift/watch
-	// retains for Last-Event-ID resume; zero means 64.
-	WatchHistory int
-	// Workers sets the mining parallelism (FP-Growth conditional subtrees
-	// and rule-generation shards). Zero means GOMAXPROCS; 1 forces serial
-	// mining. Snapshots are identical for any worker count.
+	// Workers sets the FP-Growth mining parallelism (conditional subtrees;
+	// rule generation is serial). Zero means GOMAXPROCS, the only value
+	// cmd/serve uses; 1 forces serial mining. Snapshots are identical for
+	// any worker count.
 	Workers int
 	// StateDir, when set, makes the server durable: the mining loop
 	// checkpoints its full state (fitted discretizers, tier and prevalence
@@ -96,12 +94,9 @@ type Config struct {
 	// uninterrupted server would. The last two checkpoint generations are
 	// kept; a newest generation that fails its CRC or parse gate falls
 	// back to the previous one instead of refusing to start. Empty
-	// disables checkpointing.
+	// disables checkpointing. A checkpoint is written after every publish
+	// and again at drain.
 	StateDir string
-	// CheckpointEvery is the number of mines between checkpoints when
-	// StateDir is set; zero means 1 (checkpoint after every mine). A final
-	// checkpoint is always written at drain.
-	CheckpointEvery int
 	// WALDir, when set, adds a write-ahead log under it: accepted events
 	// are framed and (per Fsync) synced before they are enqueued, and on
 	// restart the WAL tail is replayed on top of the checkpoint, so a
@@ -109,10 +104,8 @@ type Config struct {
 	WALDir string
 	// Fsync is the WAL durability policy: "always" (sync inside every
 	// append — zero acknowledged-record loss), "interval" (background
-	// cadence, the default), or "never".
+	// cadence of 100ms, the default), or "never".
 	Fsync string
-	// FsyncInterval is the cadence under "interval"; zero means 100ms.
-	FsyncInterval time.Duration
 	// WALSegmentBytes sizes WAL segments; zero means 8 MiB.
 	WALSegmentBytes int64
 	// FS is the filesystem seam for the WAL and checkpoints; nil means
@@ -147,12 +140,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueSize == 0 {
 		c.QueueSize = 8192
-	}
-	if c.WatchHistory == 0 {
-		c.WatchHistory = 64
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 1
 	}
 	if c.FS == nil {
 		c.FS = faultinject.OS()
@@ -245,8 +232,9 @@ type Server struct {
 	abort     chan struct{}
 	abortOnce sync.Once
 
-	// wal is non-nil when Config.WALDir is set. walMu serializes the
-	// append+enqueue pair so WAL order always equals queue order.
+	// wal is non-nil when Config.WALDir is set. walMu makes Enqueue's
+	// capacity check, append and send one step, so WAL order always equals
+	// queue order and a reserved queue slot cannot be taken.
 	wal   *wal.WAL
 	walMu sync.Mutex
 	// lastApplied is the WAL seq of the newest record whose effect is in
@@ -295,7 +283,7 @@ func New(cfg Config) (*Server, error) {
 		done:    make(chan struct{}),
 		abort:   make(chan struct{}),
 		started: cfg.Clock.Now(),
-		watch:   NewWatchHub(cfg.WatchHistory),
+		watch:   NewWatchHub(0),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleIngest)
@@ -367,7 +355,6 @@ func (s *Server) openWALAndReplay(miner *stream.Miner, enc *encoder) error {
 	w, err := wal.Open(wal.Options{
 		Dir:          s.cfg.WALDir,
 		Sync:         policy,
-		SyncInterval: s.cfg.FsyncInterval,
 		SegmentBytes: s.cfg.WALSegmentBytes,
 		FS:           s.fs,
 		Clock:        s.clock,
@@ -388,7 +375,7 @@ func (s *Server) openWALAndReplay(miner *stream.Miner, enc *encoder) error {
 			s.lastApplied.Store(seq)
 			return nil
 		}
-		for _, items := range s.encodeGuarded(enc, ev) {
+		for _, items := range s.encodeGuarded(1, func() [][]string { return enc.add(ev) }) {
 			miner.ObserveNames(items...)
 			s.replayedTxns++
 		}
@@ -432,53 +419,41 @@ var (
 )
 
 // Enqueue hands one already-validated event to the mining loop — the
-// programmatic ingest path the HTTP handler and the shard router share. It
-// performs the same durability dance as HTTP ingest: with a WAL configured
-// the append and the channel send are one atomic step under walMu (so WAL
-// order equals queue order and replay reproduces exactly the stream the
-// loop consumed), and an event that cannot be made durable is never
-// enqueued. Callers must Validate events first (Decoder.Validate or the
-// handler's spec check); Enqueue itself only refuses for capacity,
-// draining, or WAL failure, reported via the sentinel errors above.
+// programmatic ingest path the HTTP handler and the shard router share.
+// The capacity check, the WAL append (when a WAL is configured) and the
+// channel send are one atomic step under walMu, so WAL order equals queue
+// order and replay reproduces exactly the stream the loop consumed; an
+// event that would be dropped is never logged, and one that cannot be made
+// durable is never enqueued. Callers must Validate events first
+// (Decoder.Validate or the handler's spec check); Enqueue itself only
+// refuses for capacity, draining, or WAL failure, reported via the sentinel
+// errors above.
 func (s *Server) Enqueue(ev Event) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return ErrDraining
 	}
-	if s.wal == nil {
-		select {
-		case s.queue <- queued{ev: ev}:
-			s.metrics.accepted.Add(1)
-			return nil
-		default:
-			s.metrics.throttled.Add(1)
-			return ErrQueueFull
-		}
-	}
-	// The capacity check runs before the append so a record that would be
-	// dropped is never logged, and guarantees the send below cannot block
-	// (only the loop drains the queue).
 	s.walMu.Lock()
+	defer s.walMu.Unlock()
 	if len(s.queue) >= cap(s.queue) {
-		s.walMu.Unlock()
 		s.metrics.throttled.Add(1)
 		return ErrQueueFull
 	}
-	payload, err := json.Marshal(ev)
 	var seq uint64
-	if err == nil {
-		seq, err = s.wal.Append(payload)
-	}
-	if err != nil {
-		s.walMu.Unlock()
-		s.metrics.walErrors.Add(1)
-		return fmt.Errorf("%w: %v", ErrWAL, err)
+	if s.wal != nil {
+		payload, err := json.Marshal(ev)
+		if err == nil {
+			seq, err = s.wal.Append(payload)
+		}
+		if err != nil {
+			s.metrics.walErrors.Add(1)
+			return fmt.Errorf("%w: %v", ErrWAL, err)
+		}
+		s.metrics.walAppends.Add(1)
 	}
 	//armlint:allow locksend the capacity check above, under this same walMu, reserved a free slot; only loop drains the queue
 	s.queue <- queued{ev: ev, seq: seq}
-	s.walMu.Unlock()
-	s.metrics.walAppends.Add(1)
 	s.metrics.accepted.Add(1)
 	return nil
 }
@@ -533,29 +508,20 @@ func (s *Server) kill() {
 	<-s.done
 }
 
-// encodeGuarded runs one event through the encoder with a recover fence:
-// a poison event that panics the encode is dropped and counted instead of
-// taking the whole daemon down.
-func (s *Server) encodeGuarded(enc *encoder, ev Event) (txns [][]string) {
+// encodeGuarded runs one encoder step behind a recover fence: a poison
+// event that panics the encode is dropped and counted instead of taking
+// the whole daemon down. Every panic counts in encode_panics; dropped is
+// what a panic adds to encode_errors, the events-dropped count: 1 for an
+// event's add, 0 for a flush, which drops no single event of its own.
+func (s *Server) encodeGuarded(dropped int64, step func() [][]string) (txns [][]string) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.encodePanics.Add(1)
-			s.metrics.encodeErrors.Add(1)
+			s.metrics.encodeErrors.Add(dropped)
 			txns = nil
 		}
 	}()
-	return enc.add(ev)
-}
-
-// flushGuarded is encodeGuarded for the flush path.
-func (s *Server) flushGuarded(enc *encoder) (txns [][]string) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.metrics.encodePanics.Add(1)
-			txns = nil
-		}
-	}()
-	return enc.flush()
+	return step()
 }
 
 // loop is the single writer: it alone touches the miner, the encoder and
@@ -591,7 +557,6 @@ func (s *Server) loop(miner *stream.Miner, enc *encoder) {
 	// of MineBatch counted from the previous mine, exactly where a loop
 	// that keeps up would have mined.
 	batch := s.cfg.MineBatch
-	sinceCheckpoint := 0
 	observe := func(txns [][]string) {
 		for _, items := range txns {
 			miner.ObserveNames(items...)
@@ -619,10 +584,7 @@ func (s *Server) loop(miner *stream.Miner, enc *encoder) {
 	mine := func() {
 		s.mine(miner, pending)
 		pending = 0
-		if sinceCheckpoint++; sinceCheckpoint >= s.cfg.CheckpointEvery {
-			checkpoint()
-			sinceCheckpoint = 0
-		}
+		checkpoint()
 		batch = max(s.cfg.MineBatch, len(s.queue)/s.cfg.MineBatch*s.cfg.MineBatch)
 	}
 	for {
@@ -634,14 +596,14 @@ func (s *Server) loop(miner *stream.Miner, enc *encoder) {
 				// Queue closed and drained: flush any unfitted
 				// bootstrap backlog, publish the final snapshot, and
 				// always leave a fresh checkpoint behind.
-				observe(s.flushGuarded(enc))
+				observe(s.encodeGuarded(0, enc.flush))
 				if pending > 0 {
 					s.mine(miner, pending)
 				}
 				checkpoint()
 				return
 			}
-			observe(s.encodeGuarded(enc, q.ev))
+			observe(s.encodeGuarded(1, func() [][]string { return enc.add(q.ev) }))
 			if q.seq > 0 {
 				s.lastApplied.Store(q.seq)
 			}
@@ -653,7 +615,7 @@ func (s *Server) loop(miner *stream.Miner, enc *encoder) {
 			// on whatever arrived so trickle workloads still get rules.
 			// After the bootstrap the flush fits late-arriving numeric
 			// fields from their buffered samples.
-			observe(s.flushGuarded(enc))
+			observe(s.encodeGuarded(0, enc.flush))
 			if pending > 0 {
 				mine()
 			}

@@ -429,6 +429,33 @@ func TestBackpressureCSV(t *testing.T) {
 	}
 }
 
+// TestEncodeGuardedCounts: a panicking encoder step is recovered, yields
+// no transactions and counts in encode_panics; only an event's add counts
+// a dropped event in encode_errors, a flush counts none.
+func TestEncodeGuardedCounts(t *testing.T) {
+	s := &Server{}
+	boom := func() [][]string { panic("poison") }
+	if txns := s.encodeGuarded(1, boom); txns != nil {
+		t.Errorf("panicking add returned %v", txns)
+	}
+	if txns := s.encodeGuarded(0, boom); txns != nil {
+		t.Errorf("panicking flush returned %v", txns)
+	}
+	if got := s.metrics.encodePanics.Load(); got != 2 {
+		t.Errorf("encode_panics = %d, want 2", got)
+	}
+	if got := s.metrics.encodeErrors.Load(); got != 1 {
+		t.Errorf("encode_errors = %d, want 1 (the add only)", got)
+	}
+	want := [][]string{{"a=1"}}
+	if txns := s.encodeGuarded(1, func() [][]string { return want }); len(txns) != 1 || txns[0][0] != "a=1" {
+		t.Errorf("clean step returned %v, want %v", txns, want)
+	}
+	if got := s.metrics.encodeErrors.Load(); got != 1 {
+		t.Errorf("clean step moved encode_errors to %d", got)
+	}
+}
+
 func TestGracefulShutdownFlushesFinalSnapshot(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Spec:         Spec{Numeric: []NumericSpec{{Field: "util"}}},

@@ -185,7 +185,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.mux.HandleFunc("GET /v1/tenants/{tenant}/drift/watch", c.handleTenantWatch)
 	c.mux.HandleFunc("GET /healthz", c.handleHealth)
 	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
-	c.mergedWatch = server.NewWatchHub(cfg.Shard.WatchHistory)
+	c.mergedWatch = server.NewWatchHub(0)
 	c.notifyCh = make(chan struct{}, 1)
 	c.notifierQuit = make(chan struct{})
 	c.notifierDone = make(chan struct{})

@@ -21,8 +21,9 @@ import (
 
 // Thresholds resolves zero mining thresholds to the paper's settings:
 // support 0.05, itemset length 5, lift 1.5. Capture applies it to every
-// window that is mined, and internal/server resolves its Config here too,
-// so the defaults cannot drift apart.
+// window that is mined, and internal/server and the batch pipeline in
+// internal/core resolve their settings here too, so the defaults cannot
+// drift apart.
 func Thresholds(minSupport float64, maxLen int, minLift float64) (float64, int, float64) {
 	if minSupport == 0 {
 		minSupport = 0.05

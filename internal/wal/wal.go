@@ -14,16 +14,14 @@
 // Recovery walks every frame on Open. An incomplete frame at the end of the
 // newest segment is a torn tail — the write a crash interrupted — and is
 // silently truncated away; it was never acknowledged. A complete frame whose
-// CRC fails mid-log is corruption: in the default lenient mode the frame is
-// skipped and counted (its sequence number stays burned, so later records
-// keep their identity), in Strict mode Open refuses, for deployments that
-// would rather page an operator than mine around a hole. A sealed segment
-// must hold exactly the records up to its successor's first: one cut short
-// at a frame boundary, or whose frames no longer add up after a damaged
-// length field, keeps only the frames before its first damaged one and
-// counts the rest as one corruption. Frames carry no seq of their own, so
-// the same damage in the newest segment can shift the seqs of the records
-// after it; the corruption is still counted.
+// CRC fails mid-log is corruption: the frame is skipped and counted in
+// CorruptFrames, and its sequence number stays burned, so later records keep
+// their identity. A sealed segment must hold exactly the records up to its
+// successor's first: one cut short at a frame boundary, or whose frames no
+// longer add up after a damaged length field, keeps only the frames before
+// its first damaged one and counts the rest as one corruption. Frames carry
+// no seq of their own, so the same damage in the newest segment can shift
+// the seqs of the records after it; the corruption is still counted.
 package wal
 
 import (
@@ -49,8 +47,8 @@ const (
 	// SyncAlways fsyncs inside every Append: an acknowledged record
 	// survives kill -9. The durable choice, and the slowest.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background cadence (Options.SyncInterval):
-	// a crash can lose at most the last interval's records.
+	// SyncInterval fsyncs on a background cadence (syncCadence): a crash
+	// can lose at most the last interval's records.
 	SyncInterval
 	// SyncNever leaves syncing to the OS: fastest, weakest.
 	SyncNever
@@ -83,6 +81,9 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
+// syncCadence is how often SyncInterval fsyncs.
+const syncCadence = 100 * time.Millisecond
+
 // frameHeaderSize is the per-record overhead: u32 length + u32 CRC.
 const frameHeaderSize = 8
 
@@ -105,14 +106,9 @@ type Options struct {
 	Dir string
 	// Sync is the fsync policy; the zero value is SyncAlways.
 	Sync SyncPolicy
-	// SyncInterval is the cadence under SyncInterval; zero means 100ms.
-	SyncInterval time.Duration
 	// SegmentBytes rotates to a new segment once the current one exceeds
 	// this size; zero means 8 MiB.
 	SegmentBytes int64
-	// Strict makes a mid-log CRC mismatch an Open error instead of a
-	// skipped frame.
-	Strict bool
 	// FS is the filesystem seam; nil means the real one.
 	FS faultinject.FS
 	// Clock drives the interval-sync goroutine; nil means the wall clock.
@@ -120,9 +116,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SyncInterval == 0 {
-		o.SyncInterval = 100 * time.Millisecond
-	}
 	if o.SegmentBytes == 0 {
 		o.SegmentBytes = 8 << 20
 	}
@@ -191,7 +184,7 @@ func Open(opts Options) (*WAL, error) {
 }
 
 // scan validates every existing segment, truncating a torn tail and
-// counting (or refusing, under Strict) corrupt frames.
+// counting corrupt frames.
 func (w *WAL) scan() error {
 	entries, err := w.fs.ReadDir(w.opts.Dir)
 	if err != nil {
@@ -229,7 +222,7 @@ func (w *WAL) scan() error {
 // the walk must find exactly span frames in it. Any other count means
 // frames were cut away or a length field was rewritten: past the first
 // damaged frame the seqs are a guess, so only the frames before it are
-// kept and the loss counts as one corruption (an error under Strict).
+// kept and the loss counts as one corruption.
 func (w *WAL) scanSegment(seg *segment, last bool, span uint64) error {
 	data, err := w.fs.ReadFile(filepath.Join(w.opts.Dir, seg.name))
 	if err != nil {
@@ -246,7 +239,7 @@ func (w *WAL) scanSegment(seg *segment, last bool, span uint64) error {
 		}
 		if len(rest) < frameHeaderSize {
 			// A header fragment at EOF: torn tail.
-			if err := w.repairTail(seg, last, good, off); err != nil {
+			if err := w.repairTail(seg, last, good); err != nil {
 				return err
 			}
 			break
@@ -257,7 +250,7 @@ func (w *WAL) scanSegment(seg *segment, last bool, span uint64) error {
 			// The length field itself is garbage. At the tail this is a
 			// torn header; mid-log the rest of the segment is
 			// unnavigable — everything from here is lost.
-			if err := w.repairTail(seg, last, good, off); err != nil {
+			if err := w.repairTail(seg, last, good); err != nil {
 				return err
 			}
 			break
@@ -265,7 +258,7 @@ func (w *WAL) scanSegment(seg *segment, last bool, span uint64) error {
 		if int64(len(rest)) < frameHeaderSize+int64(length) {
 			// Frame extends past EOF: the write this frame belongs to
 			// never finished.
-			if err := w.repairTail(seg, last, good, off); err != nil {
+			if err := w.repairTail(seg, last, good); err != nil {
 				return err
 			}
 			break
@@ -274,10 +267,6 @@ func (w *WAL) scanSegment(seg *segment, last bool, span uint64) error {
 		if crc32.Checksum(payload, castagnoli) != sum {
 			// The frame is fully present but its bytes rotted: this is
 			// corruption, not a torn write, wherever it sits.
-			if w.opts.Strict {
-				return fmt.Errorf("wal: segment %s: CRC mismatch at offset %d (record %d)",
-					seg.name, off, seg.first+seg.count)
-			}
 			w.corrupt++
 			trusted = min(trusted, seg.count)
 		}
@@ -290,10 +279,6 @@ func (w *WAL) scanSegment(seg *segment, last bool, span uint64) error {
 		return nil
 	}
 	if seg.count != span {
-		if w.opts.Strict {
-			return fmt.Errorf("wal: segment %s holds %d records, but the next segment starts at record %d",
-				seg.name, seg.count, seg.first+span)
-		}
 		if w.corrupt == corruptBefore {
 			w.corrupt++
 		}
@@ -302,20 +287,17 @@ func (w *WAL) scanSegment(seg *segment, last bool, span uint64) error {
 	return nil
 }
 
-// repairTail handles an unparseable region starting at off: in the last
-// segment it is the torn write of a crash and is silently truncated; in an
-// earlier segment nothing after it can be framed, so the remainder counts
-// as one corruption (or an error under Strict).
-func (w *WAL) repairTail(seg *segment, last bool, good, off int64) error {
+// repairTail handles an unparseable region starting after the valid
+// prefix good: in the last segment it is the torn write of a crash and is
+// silently truncated; in an earlier segment nothing after it can be framed,
+// so the remainder counts as one corruption.
+func (w *WAL) repairTail(seg *segment, last bool, good int64) error {
 	if last {
 		if err := w.fs.Truncate(filepath.Join(w.opts.Dir, seg.name), good); err != nil {
 			return fmt.Errorf("wal: truncate torn tail of %s: %w", seg.name, err)
 		}
 		w.truncatedTail = true
 		return nil
-	}
-	if w.opts.Strict {
-		return fmt.Errorf("wal: segment %s: unparseable frame at offset %d", seg.name, off)
 	}
 	w.corrupt++
 	return nil
@@ -456,7 +438,7 @@ func (w *WAL) syncLoop() {
 		select {
 		case <-w.stopSync:
 			return
-		case <-w.opts.Clock.After(w.opts.SyncInterval):
+		case <-w.opts.Clock.After(syncCadence):
 			//armlint:allow syncerr background sync retries next tick; Append observes and reports sync errors on the synchronous path
 			_ = w.Sync()
 		}
@@ -532,7 +514,7 @@ func (w *WAL) NextSeq() uint64 {
 }
 
 // CorruptFrames returns how many frames recovery skipped over CRC or
-// framing damage (always zero under Strict, which refuses instead).
+// framing damage.
 func (w *WAL) CorruptFrames() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -11,8 +11,8 @@ import (
 )
 
 // FuzzWALReplay appends records, damages the segment files as the input
-// says, then recovers the log the way a restarted server does: a lenient
-// Open followed by a full Replay.
+// says, then recovers the log the way a restarted server does: an Open
+// followed by a full Replay.
 //
 // records picks how many records are appended (the "record-%04d" payloads
 // the unit tests use), segBytes the segment size (0 keeps one segment).
@@ -21,7 +21,7 @@ import (
 // segment at the offset; both wrap to the segment's size.
 //
 // Properties:
-//   - recovery never panics and never errors in lenient mode;
+//   - recovery never panics and never errors;
 //   - replayed seqs strictly increase;
 //   - replayed payloads are appended ones, in append order: nothing
 //     invented, duplicated or reordered;
@@ -50,7 +50,7 @@ func FuzzWALReplay(f *testing.F) {
 
 		w2, err := Open(Options{Dir: dir, Sync: SyncNever})
 		if err != nil {
-			t.Fatalf("lenient open: %v", err)
+			t.Fatalf("open: %v", err)
 		}
 		defer w2.Close()
 		var seqs []uint64

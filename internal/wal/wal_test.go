@@ -203,20 +203,6 @@ func TestMidSegmentCorruptionLenientSkips(t *testing.T) {
 	}
 }
 
-func TestMidSegmentCorruptionStrictRefuses(t *testing.T) {
-	dir := t.TempDir()
-	w := openTest(t, Options{Dir: dir, Sync: SyncAlways})
-	appendN(t, w, 0, 5)
-	w.Close()
-	corruptFrame(t, filepath.Join(dir, segmentName(1)), 2)
-
-	if _, err := Open(Options{Dir: dir, Sync: SyncAlways, Strict: true}); err == nil {
-		t.Fatal("strict open over a corrupt frame should fail")
-	} else if !strings.Contains(err.Error(), "CRC mismatch") {
-		t.Errorf("strict error = %v", err)
-	}
-}
-
 func TestFailedAppendRollsBack(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultinject.NewInjector(nil)
@@ -265,7 +251,7 @@ func TestCrashMidAppendRecovers(t *testing.T) {
 func TestSyncIntervalFlushesOnCadence(t *testing.T) {
 	dir := t.TempDir()
 	clock := faultinject.NewManualClock(time.Unix(0, 0))
-	w, err := Open(Options{Dir: dir, Sync: SyncInterval, SyncInterval: time.Second, Clock: clock})
+	w, err := Open(Options{Dir: dir, Sync: SyncInterval, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +269,7 @@ func TestSyncIntervalFlushesOnCadence(t *testing.T) {
 	// registered its first timer yet when the test starts advancing.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		clock.Advance(time.Second)
+		clock.Advance(syncCadence)
 		w.mu.Lock()
 		dirty = w.dirty
 		w.mu.Unlock()
@@ -351,7 +337,7 @@ func TestChecksumIsCastagnoli(t *testing.T) {
 
 // A sealed segment cut at a frame boundary has no torn frame to find, but
 // it holds fewer records than its successor's name says: the loss is
-// counted (refused under Strict) and later segments keep their seqs.
+// counted and later segments keep their seqs.
 func TestCutSealedSegmentCounted(t *testing.T) {
 	dir := t.TempDir()
 	// 60-byte segments hold four 19-byte frames: records 1-4, 5-8, 9-12.
@@ -363,9 +349,6 @@ func TestCutSealedSegmentCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Open(Options{Dir: dir, Sync: SyncAlways, Strict: true}); err == nil {
-		t.Fatal("strict open over a cut sealed segment should fail")
-	}
 	w2 := openTest(t, Options{Dir: dir, Sync: SyncAlways})
 	if w2.CorruptFrames() != 1 {
 		t.Errorf("corrupt frames = %d, want 1", w2.CorruptFrames())

@@ -7,6 +7,14 @@
 #   scripts/bench.sh                 # refresh the "current" numbers
 #   scripts/bench.sh --set-baseline  # also copy them into "baseline"
 #
+# Every benchmark runs RUNS=5 times, the count scripts/bench_gate.sh
+# takes its median over, so the gate compares like with like. Each entry
+# records the median ns/op (ns_per_op, the number bench_gate.sh compares)
+# with the min and max over the runs, and the median B/op and allocs/op.
+# Both files carry the machine the runs came from: the CPU model go test
+# reports, GOMAXPROCS (the -N suffix of the benchmark names) and the Go
+# version. Compare only numbers captured back to back on one machine.
+#
 # The baseline section is meant to be captured once on the commit you are
 # comparing against (e.g. before a performance change) and left alone
 # afterwards: a plain run preserves whatever baseline the file already
@@ -28,17 +36,24 @@ cd "$(dirname "$0")/.."
 
 OUT=BENCH_mining.json
 BENCHTIME=${BENCHTIME:-1s}
+readonly RUNS=5
 SET_BASELINE=0
 [ "${1:-}" = "--set-baseline" ] && SET_BASELINE=1
 
 raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
+cpu=$(mktemp)
+trap 'rm -f "$raw" "$cpu"' EXIT
 
-run() { # run <pkg> <bench regexp>
-    echo ">> go test -run=NONE -bench '$2' -benchtime=$BENCHTIME -benchmem $1" >&2
-    go test -run=NONE -bench "$2" -benchtime="$BENCHTIME" -benchmem "$1" |
-        awk -v pkg="$1" '/^Benchmark/ && /ns\/op/ {
-            name=$1; sub(/-[0-9]+$/, "", name)
+# run <pkg> <bench regexp> appends one tab-separated line per benchmark run:
+# package, name, GOMAXPROCS, iterations, ns/op, B/op, allocs/op.
+run() {
+    echo ">> go test -run=NONE -bench '$2' -benchtime=$BENCHTIME -count=$RUNS -benchmem $1" >&2
+    go test -run=NONE -bench "$2" -benchtime="$BENCHTIME" -count="$RUNS" -benchmem "$1" |
+        awk -v pkg="$1" -v cpufile="$cpu" '
+        /^cpu: / { sub(/^cpu: /, ""); print > cpufile; next }
+        /^Benchmark/ && /ns\/op/ {
+            name=$1; procs=1
+            if (match(name, /-[0-9]+$/)) { procs=substr(name, RSTART+1); name=substr(name, 1, RSTART-1) }
             ns=""; bytes=""; allocs=""
             # Benchmarks may report custom metrics (e.g. jobs/op), so find
             # each unit by name instead of assuming fixed columns.
@@ -47,8 +62,36 @@ run() { # run <pkg> <bench regexp>
                 else if ($i == "B/op") bytes = $(i-1)
                 else if ($i == "allocs/op") allocs = $(i-1)
             }
-            printf "%s\t%s\t%s\t%s\t%s\t%s\n", pkg, name, $2, ns, bytes, allocs
+            printf "%s\t%s\t%s\t%s\t%s\t%s\t%s\n", pkg, name, procs, $2, ns, bytes, allocs
         }' >>"$raw"
+}
+
+# aggregate folds the runs of each benchmark into one entry: medians of
+# ns/op, B/op and allocs/op plus the ns/op min and max, in first-run order.
+aggregate() {
+    jq -Rn '
+      def median: sort | if length % 2 == 1 then .[length / 2 | floor]
+                         else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+      [inputs | split("\t") |
+       {package: .[0], name: .[1], procs: (.[2] | tonumber), iterations: (.[3] | tonumber),
+        ns: (.[4] | tonumber), bytes: (.[5] | tonumber), allocs: (.[6] | tonumber)}]
+      | . as $runs
+      | [$runs[] | {package, name}] | unique_by([.package, .name])
+      | map(. as $k | [$runs[] | select(.package == $k.package and .name == $k.name)] as $r
+            | {package: $k.package, name: $k.name, procs: $r[0].procs, runs: ($r | length),
+               ns_per_op: ([$r[].ns] | median), ns_min: ([$r[].ns] | min), ns_max: ([$r[].ns] | max),
+               bytes_per_op: ([$r[].bytes] | median), allocs_per_op: ([$r[].allocs] | median),
+               first: ([$runs[] | .package + "\t" + .name] | index($k.package + "\t" + $k.name))})
+      | sort_by(.first) | map(del(.first))' <"$raw"
+}
+
+# machine describes where the runs came from; GOMAXPROCS is read off the
+# benchmark names, so every entry in one file must agree on it.
+machine() {
+    jq -n --argjson entries "$1" --arg cpu "$(head -1 "$cpu")" \
+        --arg go "$(go version | awk '{print $3}')" --arg os "$(go env GOOS)/$(go env GOARCH)" '
+      {cpu: $cpu, gomaxprocs: ($entries | map(.procs) | unique | if length == 1 then .[0] else . end),
+       go: $go, os: $os}'
 }
 
 # FP-Growth engine: initial tree construction and mining across densities,
@@ -63,11 +106,8 @@ run ./internal/rules 'BenchmarkGenerate$'
 # ingest+mine loop.
 run . 'BenchmarkMinerFPGrowth$|BenchmarkMinerFPGrowthSequential$|BenchmarkServerIngestMine$'
 
-current=$(jq -Rn '
-  [inputs | split("\t") |
-   {package: .[0], name: .[1], iterations: (.[2] | tonumber),
-    ns_per_op: (.[3] | tonumber), bytes_per_op: (.[4] | tonumber),
-    allocs_per_op: (.[5] | tonumber)}]' <"$raw")
+current=$(aggregate | jq 'map(del(.procs))')
+host=$(machine "$(aggregate)")
 
 baseline=null
 if [ "$SET_BASELINE" = 1 ]; then
@@ -76,11 +116,10 @@ elif [ -f "$OUT" ]; then
     baseline=$(jq '.baseline' "$OUT")
 fi
 
-jq -n --argjson current "$current" --argjson baseline "$baseline" \
-    --arg go "$(go version | awk '{print $3}')" \
-    --arg benchtime "$BENCHTIME" '
-  {generated_by: "scripts/bench.sh", go: $go, benchtime: $benchtime,
-   note: "ns/B/allocs are per op; baseline is the pre-optimization capture, current the latest run",
+jq -n --argjson current "$current" --argjson baseline "$baseline" --argjson machine "$host" \
+    --arg benchtime "$BENCHTIME" --argjson count "$RUNS" '
+  {generated_by: "scripts/bench.sh", machine: $machine, benchtime: $benchtime, count: $count,
+   note: "per op; ns_per_op, bytes_per_op and allocs_per_op are medians over count runs, ns_min and ns_max the extremes; baseline is the capture made with --set-baseline, current the latest run",
    baseline: $baseline, current: $current}' >"$OUT"
 echo "wrote $OUT" >&2
 
@@ -102,15 +141,12 @@ run ./internal/shard 'BenchmarkRemerge'
 run ./internal/pruning 'BenchmarkKeywordAnalysisMissOracle'
 run ./internal/rules 'BenchmarkGenerateFixture'
 
-jq -Rn --arg go "$(go version | awk '{print $3}')" --arg benchtime "$BENCHTIME" '
-  [inputs | split("\t") |
-   {name: .[1], iterations: (.[2] | tonumber),
-    ns_per_op: (.[3] | tonumber), bytes_per_op: (.[4] | tonumber),
-    allocs_per_op: (.[5] | tonumber)}]
-  | map({key: .name, value: .}) | from_entries as $b
-  | {generated_by: "scripts/bench.sh", go: $go, benchtime: $benchtime,
-     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window; the SON merge against the union-window mine on that window split over three shards; the bucket-scan pruning oracle against the sub-side probes in a cold keyword analysis of that window; the replaced Generate against the current one on the frequent itemsets of that window",
-     results: [
+host=$(machine "$(aggregate)")
+aggregate | jq --argjson machine "$host" --arg benchtime "$BENCHTIME" --argjson count "$RUNS" '
+  map(del(.package, .procs)) | map({key: .name, value: .}) | from_entries as $b
+  | {generated_by: "scripts/bench.sh", machine: $machine, benchtime: $benchtime, count: $count,
+     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window; the SON merge against the union-window mine on that window split over three shards; the bucket-scan pruning oracle against the sub-side probes in a cold keyword analysis of that window; the replaced Generate against the current one on the frequent itemsets of that window. ns_per_op is the median over count runs, ns_min and ns_max the extremes; speedup is the ratio of medians",
+     results: ([
        {query: "repeated ?keyword= analysis",
         before: $b.BenchmarkServingKeywordLinear,
         after: $b.BenchmarkServingKeywordIndexed},
@@ -136,6 +172,6 @@ jq -Rn --arg go "$(go version | awk '{print $3}')" --arg benchtime "$BENCHTIME" 
        {query: "keyword analysis (cold): \($kw)",
         before: $b["BenchmarkKeywordAnalysisMissOracle/\($kw)"],
         after: $b["BenchmarkKeywordAnalysisMiss/\($kw)"]}
-     ] | map(. + {speedup: ((.before.ns_per_op / .after.ns_per_op) * 10 | round / 10)})}
-  ' <"$raw" >"$SERVING_OUT"
+     ] | map(. + {speedup: ((.before.ns_per_op / .after.ns_per_op) * 10 | round / 10)}))}
+  ' >"$SERVING_OUT"
 echo "wrote $SERVING_OUT" >&2

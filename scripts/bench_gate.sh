@@ -2,35 +2,39 @@
 # bench_gate.sh — CI perf gate: re-run the headline benchmarks and fail if
 # any regresses more than THRESHOLD_PCT% in ns/op against the numbers
 # checked in at the repo root (BENCH_mining.json "current", the
-# BENCH_serving.json indexed "after" results).
+# BENCH_serving.json "after" results).
 #
 # Usage:
 #   scripts/bench_gate.sh                 # gate at the default +25%
 #   THRESHOLD_PCT=10 scripts/bench_gate.sh
 #
-# Each benchmark runs COUNT times and the gate takes the fastest run: the
-# checked-in numbers are a floor captured on a quiet machine, so noise can
-# only make a fresh run slower, and min-of-N strips most of it. The
-# threshold absorbs the rest — the gate exists to catch real hot-path
-# regressions (an accidental O(n^2), a lost index), not 5% scheduler
-# jitter. Refresh the checked-in numbers with scripts/bench.sh when a
-# deliberate change moves them.
+# Each benchmark runs 5 times and the gate compares the median run with
+# the checked-in median, which scripts/bench.sh records over the same
+# number of runs: like with like, so one lucky or unlucky run moves
+# neither side. The threshold absorbs the drift between captures taken at
+# different times — the gate exists to catch real hot-path regressions
+# (an accidental O(n^2), a lost index), not 5% scheduler jitter. The checked-in numbers name the machine they came
+# from; on a different machine, re-base them with scripts/bench.sh before
+# trusting the gate.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
 THRESHOLD_PCT=${THRESHOLD_PCT:-25}
 BENCHTIME=${BENCHTIME:-1s}
-COUNT=${COUNT:-3}
 
 fail=0
 
-# fresh_ns <pkg> <bench regexp> <name> — min ns/op over COUNT runs.
+# fresh_ns <pkg> <bench regexp> <name> — median ns/op over 5 runs.
 fresh_ns() {
-    go test -run=NONE -bench "$2" -benchtime="$BENCHTIME" -count="$COUNT" "$1" |
+    go test -run=NONE -bench "$2" -benchtime="$BENCHTIME" -count=5 "$1" |
         awk -v want="$3" '/^Benchmark/ && /ns\/op/ {
             n=$1; sub(/-[0-9]+$/, "", n)
             if (n == want) for (i = 3; i <= NF; i++) if ($i == "ns/op") print $(i-1)
-        }' | sort -n | head -1
+        }' | sort -n | awk '{v[NR] = $1} END {
+            if (NR == 0) exit
+            if (NR % 2) printf "%.0f\n", v[(NR + 1) / 2]
+            else printf "%.0f\n", (v[NR / 2] + v[NR / 2 + 1]) / 2
+        }'
 }
 
 # gate <pkg> <bench regexp> <name> <checked-in ns/op>
@@ -60,14 +64,19 @@ serving_ns() { jq -r --arg n "$1" '.results[].after | select(.name == $n) | .ns_
 
 # The headline set: the windowed-delta mine of the fpgrowth.Incremental
 # library, the end-to-end PAI miner (the per-mine rebuild the serving loop
-# runs), rule generation on the PAI fixture window (the largest stage of
-# every publish), and both indexed read paths.
+# runs), and on the PAI fixture window the publish stages (rule generation,
+# the largest, then the rule diff and the index build), plus both indexed
+# read paths.
 gate ./internal/fpgrowth 'BenchmarkIncrementalMine/incremental$' \
     'BenchmarkIncrementalMine/incremental' "$(mining_ns BenchmarkIncrementalMine/incremental)"
 gate . 'BenchmarkMinerFPGrowth$' \
     'BenchmarkMinerFPGrowth' "$(mining_ns BenchmarkMinerFPGrowth)"
 gate ./internal/rules 'BenchmarkGenerateFixture$' \
     'BenchmarkGenerateFixture' "$(serving_ns BenchmarkGenerateFixture)"
+gate ./internal/stream 'BenchmarkDiff$' \
+    'BenchmarkDiff' "$(serving_ns BenchmarkDiff)"
+gate ./internal/server 'BenchmarkNewRuleIndex$' \
+    'BenchmarkNewRuleIndex' "$(serving_ns BenchmarkNewRuleIndex)"
 gate ./internal/server 'BenchmarkServingKeywordIndexed$' \
     'BenchmarkServingKeywordIndexed' "$(serving_ns BenchmarkServingKeywordIndexed)"
 gate ./internal/server 'BenchmarkServingSortIndexed$' \
