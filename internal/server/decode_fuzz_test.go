@@ -21,8 +21,13 @@ const (
 // fronts use, and checks the contract clients resume by: the decoder never
 // panics, handles lines in strictly increasing order, and reports an
 // unreadable body only as a *ReadError at a line past every line it has
-// already handed to emit or reject.
+// already handed to emit or reject. An NDJSON body must also emit and
+// reject the lines decodeNDJSONOracle does, with deep-equal events, except
+// that a null line is rejected.
 func FuzzDecode(f *testing.F) {
+	for _, line := range decodeEdgeCases {
+		f.Add(append([]byte{0}, line+"\n"+`{"job_id":{"a":[1]},"color":"red"}`+"\n"...))
+	}
 	csvBools := "color,multi_task\nred,true\nblue,TRUE\ngreen,yes\nred,\n"
 	for _, seed := range []struct {
 		mode byte
@@ -73,6 +78,9 @@ func FuzzDecode(f *testing.F) {
 			func(line int, _ error) { handled("reject", line) })
 		if stopped {
 			t.Fatal("stopped although emit never asked to stop")
+		}
+		if mode&fuzzCSV == 0 {
+			checkAgainstOracle(t, body)
 		}
 		if err == nil {
 			if mode&fuzzFail != 0 {

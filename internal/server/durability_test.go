@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -230,6 +231,64 @@ func TestWALReplayAfterKill(t *testing.T) {
 	}
 	if got := m["wal_applied_seq"].(float64); got != 300 {
 		t.Errorf("wal_applied_seq = %v, want 300", got)
+	}
+}
+
+// TestCSVInvalidUTF8ReplaysSameRules: CSV strings with invalid UTF-8 are
+// coerced at decode, so the live loop mines the items a WAL replay after a
+// kill mines. Uncoerced, "a\xffb" and "a\xfeb" are two users live but one
+// after the record's trip through JSON, and the rules differ.
+func TestCSVInvalidUTF8ReplaysSameRules(t *testing.T) {
+	const rows = 210
+	var body strings.Builder
+	body.WriteString("user,status,gpu\n")
+	for i := 0; i < rows; i++ {
+		user, status := []string{"a\xffb", "a\xfeb", "c"}[i%3], "failed"
+		if user == "c" {
+			status = "ok"
+		}
+		fmt.Fprintf(&body, "%s,%s,%s\n", user, status, []string{"t4", "v100"}[i%2])
+	}
+	cfg := Config{
+		WindowSize:   rows,
+		Bootstrap:    50,
+		MineBatch:    rows,
+		MineInterval: time.Hour,
+		WALDir:       filepath.Join(t.TempDir(), "wal"),
+		Fsync:        "always",
+	}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	resp, err := http.Post(ts1.URL+"/v1/jobs", "text/csv", strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
+	waitForSeq(t, s1, 1, rows)
+	want := fetchRules(t, ts1.URL+"/v1/rules?limit=500")
+	s1.kill()
+	ts1.Close()
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	defer stopServer(t, s2)
+	waitForSeq(t, s2, 1, rows)
+	got := fetchRules(t, ts2.URL+"/v1/rules?limit=500")
+	if !bytes.Equal(want, got) {
+		t.Errorf("replayed rules differ from the uninterrupted server's:\n before: %.400s\n after:  %.400s", want, got)
+	}
+	if !strings.Contains(string(want), "user=a\ufffdb") {
+		t.Errorf("rules never name the coerced user: %.400s", want)
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -206,18 +207,21 @@ func decodeBody(idx *specIndex, contentType string, body io.Reader, emit func(in
 	return decodeNDJSON(body, emit, reject)
 }
 
+// decodeNDJSON reads one JSON object per line. Blank lines are skipped;
+// a line that is not a JSON object, null included, is rejected.
 func decodeNDJSON(body io.Reader, emit func(int, Event) bool, reject func(int, error)) (stopped bool, err error) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
+	var dec lineDecoder
 	line := 0
 	for sc.Scan() {
 		line++
-		raw := strings.TrimSpace(sc.Text())
-		if raw == "" {
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
 			continue
 		}
-		var ev Event
-		if err := json.Unmarshal([]byte(raw), &ev); err != nil {
+		ev, err := dec.decode(raw)
+		if err != nil {
 			reject(line, fmt.Errorf("invalid JSON: %v", err))
 			continue
 		}
@@ -241,7 +245,13 @@ func decodeCSV(idx *specIndex, body io.Reader, emit func(int, Event) bool, rejec
 	if err != nil {
 		return false, &ReadError{Line: 1, Err: fmt.Errorf("missing CSV header: %v", err)}
 	}
-	fields := append([]string(nil), header...)
+	// Field names and string values are coerced to valid UTF-8 the way
+	// the WAL record's trip through JSON coerces them, so the live loop and
+	// a replay after a restart see the same items.
+	fields := make([]string, len(header))
+	for i, h := range header {
+		fields[i] = validUTF8(h)
+	}
 	line := 1
 	for {
 		rec, err := cr.Read()
@@ -285,7 +295,7 @@ func decodeCSV(idx *specIndex, body io.Reader, emit func(int, Event) bool, rejec
 				}
 				ev[field] = v
 			} else {
-				ev[field] = raw
+				ev[field] = validUTF8(raw)
 			}
 		}
 		if bad {

@@ -24,7 +24,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
@@ -237,6 +236,9 @@ type Server struct {
 	// queue order and a reserved queue slot cannot be taken.
 	wal   *wal.WAL
 	walMu sync.Mutex
+	// walRecord encodes Enqueue's WAL records under walMu; its buffer is
+	// reused because the WAL copies each record into its frame.
+	walRecord recordEncoder
 	// lastApplied is the WAL seq of the newest record whose effect is in
 	// the loop's state — written by the loop (and by replay before the
 	// loop starts), read by checkpointing and /metrics.
@@ -365,9 +367,10 @@ func (s *Server) openWALAndReplay(miner *stream.Miner, enc *encoder) error {
 	s.wal = w
 	s.metrics.walCorruptFrames.Store(w.CorruptFrames())
 	from := s.lastApplied.Load() + 1
+	var dec lineDecoder
 	err = w.Replay(from, func(seq uint64, payload []byte) error {
-		var ev Event
-		if jsonErr := json.Unmarshal(payload, &ev); jsonErr != nil {
+		ev, decErr := dec.decode(payload)
+		if decErr != nil {
 			// The frame passed its CRC but does not decode: count it like
 			// a corrupt frame and keep going — one bad record must not
 			// undo the rest of the recovery.
@@ -442,7 +445,7 @@ func (s *Server) Enqueue(ev Event) error {
 	}
 	var seq uint64
 	if s.wal != nil {
-		payload, err := json.Marshal(ev)
+		payload, err := s.walRecord.encode(ev)
 		if err == nil {
 			seq, err = s.wal.Append(payload)
 		}

@@ -30,7 +30,11 @@
 # mine against the SON merge it replaced, kept as its test oracle, the
 # cold keyword analysis: the sub-side probe pruning against the bucket scan
 # it replaced, and rule generation: the count-table, radix-sorted Generate
-# against the sharded, sort.Slice one it replaced.
+# against the sharded, sort.Slice one it replaced. The ingest stages pair
+# the same way: the one-pass NDJSON decoder against the json.Unmarshal
+# oracle, and the WAL record encoder against json.Marshal. The one row with
+# no oracle twin, a whole 50-event ingest POST through the handler, has a
+# null before and speedup.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -130,12 +134,14 @@ echo "wrote $OUT" >&2
 # per-request sort. Then the cluster remerge of that fixture window split
 # over three shards, against the SON merge oracle. Then a cold keyword
 # analysis on a fresh index of the fixture's second publish, for each
-# keyword perfbench's query-mix sends, against the pruning oracle. Last,
+# keyword perfbench's query-mix sends, against the pruning oracle. Then
 # rule generation from that publish's frequent itemsets, against the
-# Generate oracle.
+# Generate oracle. Last, the ingest path on 50 generated PAI events: the
+# NDJSON decode of one POST body, one WAL record encode, and the whole POST
+# through the handler into a WAL.
 SERVING_OUT=BENCH_serving.json
 : >"$raw"
-run ./internal/server 'BenchmarkServing|BenchmarkNewRuleIndex|BenchmarkApplyQuerySort|BenchmarkKeywordAnalysisMiss'
+run ./internal/server 'BenchmarkServing|BenchmarkNewRuleIndex|BenchmarkApplyQuerySort|BenchmarkKeywordAnalysisMiss|BenchmarkDecodeNDJSON|BenchmarkWALRecord|BenchmarkServeIngest$'
 run ./internal/stream 'BenchmarkDiff'
 run ./internal/shard 'BenchmarkRemerge'
 run ./internal/pruning 'BenchmarkKeywordAnalysisMissOracle'
@@ -145,7 +151,7 @@ host=$(machine "$(aggregate)")
 aggregate | jq --argjson machine "$host" --arg benchtime "$BENCHTIME" --argjson count "$RUNS" '
   map(del(.package, .procs)) | map({key: .name, value: .}) | from_entries as $b
   | {generated_by: "scripts/bench.sh", machine: $machine, benchtime: $benchtime, count: $count,
-     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window; the SON merge against the union-window mine on that window split over three shards; the bucket-scan pruning oracle against the sub-side probes in a cold keyword analysis of that window; the replaced Generate against the current one on the frequent itemsets of that window. ns_per_op is the median over count runs, ns_min and ns_max the extremes; speedup is the ratio of medians",
+     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window; the SON merge against the union-window mine on that window split over three shards; the bucket-scan pruning oracle against the sub-side probes in a cold keyword analysis of that window; the replaced Generate against the current one on the frequent itemsets of that window; the json.Unmarshal NDJSON decoder and json.Marshal against the one-pass decoder and record encoder on 50 PAI events, and the whole ingest POST (no oracle, before null). ns_per_op is the median over count runs, ns_min and ns_max the extremes; speedup is the ratio of medians",
      results: ([
        {query: "repeated ?keyword= analysis",
         before: $b.BenchmarkServingKeywordLinear,
@@ -172,6 +178,16 @@ aggregate | jq --argjson machine "$host" --arg benchtime "$BENCHTIME" --argjson 
        {query: "keyword analysis (cold): \($kw)",
         before: $b["BenchmarkKeywordAnalysisMissOracle/\($kw)"],
         after: $b["BenchmarkKeywordAnalysisMiss/\($kw)"]}
-     ] | map(. + {speedup: ((.before.ns_per_op / .after.ns_per_op) * 10 | round / 10)}))}
+     ] + [
+       {query: "ingest NDJSON decode of a 50-event PAI body",
+        before: $b.BenchmarkDecodeNDJSONOracle,
+        after: $b.BenchmarkDecodeNDJSON},
+       {query: "WAL record encode of one PAI event",
+        before: $b.BenchmarkWALRecordOracle,
+        after: $b.BenchmarkWALRecord},
+       {query: "50-event PAI ingest POST through the handler into a WAL",
+        before: null,
+        after: $b.BenchmarkServeIngest}
+     ] | map(. + {speedup: (if .before then (.before.ns_per_op / .after.ns_per_op) * 10 | round / 10 else null end)}))}
   ' >"$SERVING_OUT"
 echo "wrote $SERVING_OUT" >&2

@@ -65,8 +65,9 @@ serving_ns() { jq -r --arg n "$1" '.results[].after | select(.name == $n) | .ns_
 # The headline set: the windowed-delta mine of the fpgrowth.Incremental
 # library, the end-to-end PAI miner (the per-mine rebuild the serving loop
 # runs), and on the PAI fixture window the publish stages (rule generation,
-# the largest, then the rule diff and the index build), plus both indexed
-# read paths.
+# the largest, then the rule diff and the index build), both indexed read
+# paths, and the ingest path (a 50-event PAI POST through the handler into
+# a WAL, and the NDJSON decode of that body).
 gate ./internal/fpgrowth 'BenchmarkIncrementalMine/incremental$' \
     'BenchmarkIncrementalMine/incremental' "$(mining_ns BenchmarkIncrementalMine/incremental)"
 gate . 'BenchmarkMinerFPGrowth$' \
@@ -81,6 +82,10 @@ gate ./internal/server 'BenchmarkServingKeywordIndexed$' \
     'BenchmarkServingKeywordIndexed' "$(serving_ns BenchmarkServingKeywordIndexed)"
 gate ./internal/server 'BenchmarkServingSortIndexed$' \
     'BenchmarkServingSortIndexed' "$(serving_ns BenchmarkServingSortIndexed)"
+gate ./internal/server 'BenchmarkServeIngest$' \
+    'BenchmarkServeIngest' "$(serving_ns BenchmarkServeIngest)"
+gate ./internal/server 'BenchmarkDecodeNDJSON$' \
+    'BenchmarkDecodeNDJSON' "$(serving_ns BenchmarkDecodeNDJSON)"
 
 if [ "$fail" != 0 ]; then
     echo "bench gate: headline benchmark regressed beyond +$THRESHOLD_PCT% ns/op" >&2
