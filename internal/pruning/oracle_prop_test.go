@@ -277,7 +277,7 @@ var benchKeywords = []string{"failed", "gpu_type=T4", "user_tier=frequent"}
 // The benchmark sinks keep each measured result alive.
 var (
 	prunedSink []rules.Rule
-	splitSink  [2]rules.Analysis
+	splitSink  rules.Analysis
 )
 
 func benchPrune(b *testing.B, prune func([]rules.Rule, itemset.Item, pruning.Options) ([]rules.Rule, pruning.Stats)) {
@@ -303,8 +303,8 @@ func benchPrune(b *testing.B, prune func([]rules.Rule, itemset.Item, pruning.Opt
 
 // The oracle twin of internal/server's BenchmarkKeywordAnalysisMiss: the
 // same cold analysis on a fresh index of the fixture's second publish (the
-// relevant-rule copy, the pruning and both splits), pruned by the bucket
-// scan Prune replaced.
+// relevant-rule copy, the pruning and the pruned split), pruned by the
+// bucket scan Prune replaced.
 func BenchmarkKeywordAnalysisMissOracle(b *testing.B) {
 	_, cur, err := benchfix.PublishPoints()
 	if err != nil {
@@ -324,7 +324,7 @@ func BenchmarkKeywordAnalysisMissOracle(b *testing.B) {
 				b.StartTimer()
 				relevant := ix.Relevant(item)
 				pruned, _ := pruning.PruneOracle(relevant, item, pruning.Options{CLift: 1.5, CSupp: 1.5})
-				splitSink = [2]rules.Analysis{rules.Split(pruned, item), rules.Split(relevant, item)}
+				splitSink = rules.Split(pruned, item)
 			}
 		})
 	}

@@ -394,15 +394,32 @@ type Analysis struct {
 	Characteristic []Rule
 }
 
-// Split builds the keyword analysis from a rule list.
+// Split builds the keyword analysis from a rule list. A counting pass
+// sizes both lists, so each is allocated once at its exact length (nil
+// when empty) instead of growing by append.
 func Split(rs []Rule, keyword itemset.Item) Analysis {
-	a := Analysis{Keyword: keyword}
-	for _, r := range rs {
+	causes, chars := 0, 0
+	for i := range rs {
 		switch {
-		case r.Consequent.Contains(keyword):
-			a.Cause = append(a.Cause, r)
-		case r.Antecedent.Contains(keyword):
-			a.Characteristic = append(a.Characteristic, r)
+		case rs[i].Consequent.Contains(keyword):
+			causes++
+		case rs[i].Antecedent.Contains(keyword):
+			chars++
+		}
+	}
+	a := Analysis{Keyword: keyword}
+	if causes > 0 {
+		a.Cause = make([]Rule, 0, causes)
+	}
+	if chars > 0 {
+		a.Characteristic = make([]Rule, 0, chars)
+	}
+	for i := range rs {
+		switch {
+		case rs[i].Consequent.Contains(keyword):
+			a.Cause = append(a.Cause, rs[i])
+		case rs[i].Antecedent.Contains(keyword):
+			a.Characteristic = append(a.Characteristic, rs[i])
 		}
 	}
 	return a

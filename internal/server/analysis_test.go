@@ -1,6 +1,7 @@
 package server
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,5 +98,34 @@ func TestAnalysisPanicWithdrawsEntry(t *testing.T) {
 	}
 	if b := ix.Analysis(item, 1.5, 1.5); b != a || calls.Load() != 2 {
 		t.Fatalf("the recomputed analysis was not cached (%d prunes)", calls.Load())
+	}
+}
+
+// The prune=false split is computed on first use, once: concurrent
+// requests for it all get the one computed list, equal to Split(relevant).
+func TestAnalysisRelevantSplitOnce(t *testing.T) {
+	ix, item, _ := fixtureIndex(t, func(int32) {})
+	a := ix.Analysis(item, 1.5, 1.5)
+	const n = 8
+	got := make([]rules.Analysis, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = a.relevantSplit()
+		}(i)
+	}
+	wg.Wait()
+	want := rules.Split(a.relevant, item)
+	if !reflect.DeepEqual(got[0], want) || len(want.Cause) == 0 {
+		t.Fatalf("relevant split has %d causes and %d characteristics, Split gives %d and %d",
+			len(got[0].Cause), len(got[0].Characteristic), len(want.Cause), len(want.Characteristic))
+	}
+	for i, s := range got {
+		// One computation means one backing array, shared by every caller.
+		if &s.Cause[0] != &got[0].Cause[0] {
+			t.Fatalf("request %d got a split computed apart from request 0's", i)
+		}
 	}
 }

@@ -614,11 +614,13 @@ func WriteRules(w http.ResponseWriter, r *http.Request, snap *Snapshot, p RulesP
 	}
 	resp.Keyword = name
 	analysis := ix.Analysis(item, p.CLift, p.CSupp)
-	split := analysis.relevantSplit
+	var split rules.Analysis
 	if q.prune {
 		split = analysis.prunedSplit
 		stats := analysis.stats
 		resp.PruneStats = &pruneStatsJSON{Input: stats.Input, Kept: stats.Kept, ByCondition: stats.ByCond}
+	} else {
+		split = analysis.relevantSplit()
 	}
 	if q.kind == "" || q.kind == "all" || q.kind == "cause" {
 		resp.Cause = rules.ManyToJSON(applyQuery(split.Cause, q), view.Catalog)

@@ -85,15 +85,17 @@ type keywordAnalysis struct {
 	relevant []rules.Rule
 	pruned   []rules.Rule
 	stats    pruning.Stats
-	// prunedSplit and relevantSplit are Split(pruned) and Split(relevant):
-	// the prune=true and prune=false response bodies respectively.
-	prunedSplit   rules.Analysis
-	relevantSplit rules.Analysis
+	// prunedSplit is Split(pruned), the prune=true response body.
+	prunedSplit rules.Analysis
+	// relevantSplit returns Split(relevant), the prune=false body. Few
+	// requests ask for it, so it is computed on first call, once: a
+	// concurrent call waits for that computation instead of repeating it.
+	relevantSplit func() rules.Analysis
 }
 
 // NewRuleIndex builds the index for view. Cost is O(rules·len + items)
-// integer work — the orders are radix sorted — and it runs once per
-// publish, never per request.
+// integer work — the orders are radix sorted — spread over three
+// concurrent passes, and it runs once per publish, never per request.
 func NewRuleIndex(view *stream.View) *RuleIndex {
 	return newRuleIndex(view, pruning.Prune)
 }
@@ -107,12 +109,16 @@ func newRuleIndex(view *stream.View, prune pruneFunc) *RuleIndex {
 	}
 	ix := &RuleIndex{
 		view:     view,
-		postings: stream.IndexRules(view.Rules, items),
 		analyses: make(map[analysisKey]*keywordAnalysis),
 		prune:    prune,
 	}
-	ix.bySupport = sortedOrder(view.Rules, func(r *rules.Rule) float64 { return r.Support })
-	ix.byConfidence = sortedOrder(view.Rules, func(r *rules.Rule) float64 { return r.Confidence })
+	// The postings and the two orders are independent passes over the
+	// rules, each writing its own field.
+	parallel(
+		func() { ix.postings = stream.IndexRules(view.Rules, items) },
+		func() { ix.bySupport = sortedOrder(view.Rules, func(r *rules.Rule) float64 { return r.Support }) },
+		func() { ix.byConfidence = sortedOrder(view.Rules, func(r *rules.Rule) float64 { return r.Confidence }) },
+	)
 	ix.resolver.init(view.Catalog)
 	return ix
 }
@@ -224,7 +230,7 @@ func (ix *RuleIndex) compute(a *keywordAnalysis, key analysisKey) {
 	a.relevant = ix.Relevant(key.item)
 	a.pruned, a.stats = ix.prune(a.relevant, key.item, pruning.Options{CLift: key.cLift, CSupp: key.cSupp})
 	a.prunedSplit = rules.Split(a.pruned, key.item)
-	a.relevantSplit = rules.Split(a.relevant, key.item)
+	a.relevantSplit = sync.OnceValue(func() rules.Analysis { return rules.Split(a.relevant, key.item) })
 	a.done = true
 }
 

@@ -262,9 +262,9 @@ func benchIndex(b *testing.B, build func(*stream.View) *RuleIndex) {
 
 // A cold keyword analysis on the shared fixture's second publish: every
 // iteration builds a fresh index outside the timer and times its first
-// Analysis call, the relevant-rule copy, the pruning and both splits, as
-// a request pays it after each publish. The keywords are the ones
-// perfbench's query-mix sends. The oracle twin, which prunes with the
+// Analysis call, the relevant-rule copy, the pruning and the pruned split,
+// as a prune=true request pays it after each publish. The keywords are the
+// ones perfbench's query-mix sends. The oracle twin, which prunes with the
 // bucket scan Prune replaced, is BenchmarkKeywordAnalysisMissOracle in
 // internal/pruning.
 func BenchmarkKeywordAnalysisMiss(b *testing.B) {

@@ -692,16 +692,17 @@ func (s *Server) degrade(code int32) {
 
 // NewSnapshot assembles the snapshot published after prev (nil before the
 // first): numbered prev.Seq+1, or first when there is no prev, with the rule
-// diff against prev and the read index over view. It is stamped MinedAt =
-// clock.Now() once both are built, and MineDuration runs from start (the
-// window capture) to that instant, so the mine duration covers the whole
-// publish: mine, rule generation, diff and index build. The single server's
-// mines and the shard cluster's merges both publish through it.
+// diff against prev and the read index over view. The diff and the index
+// build only read the immutable rule lists and each writes its own field,
+// so they run side by side. It is stamped MinedAt = clock.Now() once both
+// are built, and MineDuration runs from start (the window capture) to that
+// instant, so the mine duration covers the whole publish: mine, rule
+// generation, diff and index build. The single server's mines and the
+// shard cluster's merges both publish through it.
 func NewSnapshot(prev *Snapshot, first int64, view *stream.View, clock faultinject.Clock, start time.Time, stale bool) *Snapshot {
 	snap := &Snapshot{
 		Seq:   first,
 		View:  view,
-		Index: NewRuleIndex(view),
 		Stale: stale,
 	}
 	var prevRules []rules.Rule
@@ -710,10 +711,43 @@ func NewSnapshot(prev *Snapshot, first int64, view *stream.View, clock faultinje
 		snap.PrevSeq = prev.Seq
 		prevRules = prev.View.Rules
 	}
-	snap.Delta = stream.Diff(prevRules, view.Rules)
+	parallel(
+		func() { snap.Index = NewRuleIndex(view) },
+		func() { snap.Delta = stream.Diff(prevRules, view.Rules) },
+	)
 	snap.MinedAt = clock.Now()
 	snap.MineDuration = snap.MinedAt.Sub(start)
 	return snap
+}
+
+// parallel runs independent stages side by side, every stage but the last
+// on a goroutine of its own and the last on the caller's, and returns once
+// all of them have returned. The fan-out is the stage list: with
+// GOMAXPROCS 1 the stages simply run one after another. A panic in a stage
+// is re-raised on the caller's goroutine after the join, with the stage's
+// panic value; when several panic, the first in argument order wins, the
+// one a serial run of the stages would have raised.
+func parallel(stages ...func()) {
+	panics := make([]any, len(stages))
+	run := func(i int) {
+		defer func() { panics[i] = recover() }()
+		stages[i]()
+	}
+	var wg sync.WaitGroup
+	for i := range stages[:len(stages)-1] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(i)
+		}()
+	}
+	run(len(stages) - 1)
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // publish swaps in a freshly mined snapshot of the window captured at

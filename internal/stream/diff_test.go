@@ -171,6 +171,21 @@ func FuzzDiff(f *testing.F) {
 func BenchmarkDiff(b *testing.B)       { benchDiff(b, stream.Diff) }
 func BenchmarkDiffOracle(b *testing.B) { benchDiff(b, diffOracle) }
 
+// The first publish's diff on the shared fixture: Diff(nil, cur), where
+// every one of the second publish's ~145k rules appears, as a cold start or
+// a restart pays it.
+func BenchmarkDiffFirst(b *testing.B) {
+	_, cur, err := benchfix.PublishPoints()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deltaSink = stream.Diff(nil, cur.Rules)
+	}
+}
+
 // deltaSink keeps the benchmarked result alive.
 var deltaSink stream.Delta
 

@@ -335,7 +335,10 @@ type Delta struct {
 // Both lists go into one open-addressed table of rule positions keyed by
 // rules.SidesHash, so the diff costs integer work per rule; every probe
 // hit is confirmed with Set.Equal, so a hash collision never misclassifies
-// a rule.
+// a rule. The classifying passes record appeared positions and count
+// vanished rules, so each output list is allocated once at its exact
+// length: a first publish, where every rule appears, copies the rule list
+// once instead of append-growing it.
 func Diff(prev, cur []rules.Rule) Delta {
 	t := newRuleTable(prev, cur)
 	// at[i] is the slot holding prev[i]'s structure, shared by its copies.
@@ -349,9 +352,10 @@ func Diff(prev, cur []rules.Rule) Delta {
 		}
 		at[i] = int32(h)
 	}
-	// hit marks the prev slots some cur rule matched.
+	// hit marks the prev slots some cur rule matched; appeared lists the
+	// positions of the cur rules prev lacks, every copy included.
 	hit := make([]bool, len(t.slots))
-	var d Delta
+	appeared := make([]int32, 0, len(cur))
 	curKeys, inter := 0, 0
 	for i := range cur {
 		h := t.slot(&cur[i])
@@ -359,19 +363,35 @@ func Diff(prev, cur []rules.Rule) Delta {
 		case v == 0:
 			t.slots[h] = -int32(i + 1)
 			curKeys++
-			d.Appeared = append(d.Appeared, cur[i])
+			appeared = append(appeared, int32(i))
 		case v < 0:
 			// A further copy of a rule prev lacks.
-			d.Appeared = append(d.Appeared, cur[i])
+			appeared = append(appeared, int32(i))
 		case !hit[h]:
 			hit[h] = true
 			curKeys++
 			inter++
 		}
 	}
+	var d Delta
+	vanished := 0
 	for i := range prev {
 		if !hit[at[i]] {
-			d.Vanished = append(d.Vanished, prev[i])
+			vanished++
+		}
+	}
+	if vanished > 0 {
+		d.Vanished = make([]rules.Rule, 0, vanished)
+		for i := range prev {
+			if !hit[at[i]] {
+				d.Vanished = append(d.Vanished, prev[i])
+			}
+		}
+	}
+	if len(appeared) > 0 {
+		d.Appeared = make([]rules.Rule, len(appeared))
+		for k, i := range appeared {
+			d.Appeared[k] = cur[i]
 		}
 	}
 	union := prevKeys + curKeys - inter

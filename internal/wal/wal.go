@@ -31,6 +31,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -149,6 +150,8 @@ type WAL struct {
 	dirty   bool
 	closed  bool
 	failed  bool
+	// frame is Append's reusable frame buffer.
+	frame []byte
 
 	corrupt       int64
 	truncatedTail bool
@@ -377,10 +380,13 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeaderSize:], payload)
+	// The frame is assembled in the log's own buffer, reused under w.mu,
+	// so an append allocates nothing once the buffer fits the records.
+	frame := slices.Grow(w.frame[:0], frameHeaderSize+len(payload))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
+	frame = append(frame, payload...)
+	w.frame = frame
 	if _, err := w.tail.Write(frame); err != nil {
 		w.rollbackLocked()
 		return 0, fmt.Errorf("wal: append: %w", err)

@@ -24,17 +24,17 @@
 # read path is kept in-tree as the equivalence oracle, so every run
 # measures before (Linear) and after (Indexed) on the same snapshot and
 # reports the speedup directly. The publish-step rows (rule diff, index
-# build, per-request keyword-list sort) work the same way: each stage's
-# replaced implementation is kept as a test oracle and benchmarked as the
-# Oracle twin in the same run. So is the cluster remerge: the union-window
+# build, snapshot assembly, per-request keyword-list sort) work the same
+# way: each stage's replaced implementation is kept as a test oracle and
+# benchmarked as the Oracle (or Serial) twin in the same run. So is the cluster remerge: the union-window
 # mine against the SON merge it replaced, kept as its test oracle, the
 # cold keyword analysis: the sub-side probe pruning against the bucket scan
 # it replaced, and rule generation: the count-table, radix-sorted Generate
 # against the sharded, sort.Slice one it replaced. The ingest stages pair
 # the same way: the one-pass NDJSON decoder against the json.Unmarshal
-# oracle, and the WAL record encoder against json.Marshal. The one row with
-# no oracle twin, a whole 50-event ingest POST through the handler, has a
-# null before and speedup.
+# oracle, and the WAL record encoder against json.Marshal. The two rows with
+# no oracle twin, the first publish's diff and a whole 50-event ingest POST
+# through the handler, have a null before and speedup.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -130,8 +130,9 @@ echo "wrote $OUT" >&2
 # Serving read path: repeated /v1/rules queries against one 20k-job
 # snapshot, the indexed handlers against the in-tree linear oracle. Then
 # the publish step on the shared 5000-job PAI fixture (internal/benchfix):
-# stream.Diff and NewRuleIndex against their oracles, plus the 50-rule
-# per-request sort. Then the cluster remerge of that fixture window split
+# stream.Diff and NewRuleIndex against their oracles, the first publish's
+# diff, NewSnapshot (the diff beside the index build) against the serial
+# build, plus the 50-rule per-request sort. Then the cluster remerge of that fixture window split
 # over three shards, against the SON merge oracle. Then a cold keyword
 # analysis on a fresh index of the fixture's second publish, for each
 # keyword perfbench's query-mix sends, against the pruning oracle. Then
@@ -141,7 +142,7 @@ echo "wrote $OUT" >&2
 # through the handler into a WAL.
 SERVING_OUT=BENCH_serving.json
 : >"$raw"
-run ./internal/server 'BenchmarkServing|BenchmarkNewRuleIndex|BenchmarkApplyQuerySort|BenchmarkKeywordAnalysisMiss|BenchmarkDecodeNDJSON|BenchmarkWALRecord|BenchmarkServeIngest$'
+run ./internal/server 'BenchmarkServing|BenchmarkNewRuleIndex|BenchmarkNewSnapshot|BenchmarkApplyQuerySort|BenchmarkKeywordAnalysisMiss|BenchmarkDecodeNDJSON|BenchmarkWALRecord|BenchmarkServeIngest$'
 run ./internal/stream 'BenchmarkDiff'
 run ./internal/shard 'BenchmarkRemerge'
 run ./internal/pruning 'BenchmarkKeywordAnalysisMissOracle'
@@ -151,7 +152,7 @@ host=$(machine "$(aggregate)")
 aggregate | jq --argjson machine "$host" --arg benchtime "$BENCHTIME" --argjson count "$RUNS" '
   map(del(.package, .procs)) | map({key: .name, value: .}) | from_entries as $b
   | {generated_by: "scripts/bench.sh", machine: $machine, benchtime: $benchtime, count: $count,
-     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window; the SON merge against the union-window mine on that window split over three shards; the bucket-scan pruning oracle against the sub-side probes in a cold keyword analysis of that window; the replaced Generate against the current one on the frequent itemsets of that window; the json.Unmarshal NDJSON decoder and json.Marshal against the one-pass decoder and record encoder on 50 PAI events, and the whole ingest POST (no oracle, before null). ns_per_op is the median over count runs, ns_min and ns_max the extremes; speedup is the ratio of medians",
+     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window (the first publish diff has no oracle, before null; the snapshot assembly against the serial build); the SON merge against the union-window mine on that window split over three shards; the bucket-scan pruning oracle against the sub-side probes in a cold keyword analysis of that window; the replaced Generate against the current one on the frequent itemsets of that window; the json.Unmarshal NDJSON decoder and json.Marshal against the one-pass decoder and record encoder on 50 PAI events, and the whole ingest POST (no oracle, before null). ns_per_op is the median over count runs, ns_min and ns_max the extremes; speedup is the ratio of medians",
      results: ([
        {query: "repeated ?keyword= analysis",
         before: $b.BenchmarkServingKeywordLinear,
@@ -162,9 +163,15 @@ aggregate | jq --argjson machine "$host" --arg benchtime "$BENCHTIME" --argjson 
        {query: "publish diff",
         before: $b.BenchmarkDiffOracle,
         after: $b.BenchmarkDiff},
+       {query: "first publish diff (every rule appears)",
+        before: null,
+        after: $b.BenchmarkDiffFirst},
        {query: "publish index build",
         before: $b.BenchmarkNewRuleIndexOracle,
         after: $b.BenchmarkNewRuleIndex},
+       {query: "publish snapshot assembly (diff beside index build)",
+        before: $b.BenchmarkNewSnapshotSerial,
+        after: $b.BenchmarkNewSnapshot},
        {query: "per-request ?sort= of a 50-rule keyword list",
         before: $b.BenchmarkApplyQuerySortOracle,
         after: $b.BenchmarkApplyQuerySort},

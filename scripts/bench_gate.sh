@@ -65,9 +65,11 @@ serving_ns() { jq -r --arg n "$1" '.results[].after | select(.name == $n) | .ns_
 # The headline set: the windowed-delta mine of the fpgrowth.Incremental
 # library, the end-to-end PAI miner (the per-mine rebuild the serving loop
 # runs), and on the PAI fixture window the publish stages (rule generation,
-# the largest, then the rule diff and the index build), both indexed read
-# paths, and the ingest path (a 50-event PAI POST through the handler into
-# a WAL, and the NDJSON decode of that body).
+# the largest, then the rule diff, the first publish's diff, the index
+# build, and the snapshot assembly that runs the diff beside the index
+# build), the cluster remerge that publishes the merged view, both indexed
+# read paths, and the ingest path (a 50-event PAI POST through the handler
+# into a WAL, and the NDJSON decode of that body).
 gate ./internal/fpgrowth 'BenchmarkIncrementalMine/incremental$' \
     'BenchmarkIncrementalMine/incremental' "$(mining_ns BenchmarkIncrementalMine/incremental)"
 gate . 'BenchmarkMinerFPGrowth$' \
@@ -76,8 +78,14 @@ gate ./internal/rules 'BenchmarkGenerateFixture$' \
     'BenchmarkGenerateFixture' "$(serving_ns BenchmarkGenerateFixture)"
 gate ./internal/stream 'BenchmarkDiff$' \
     'BenchmarkDiff' "$(serving_ns BenchmarkDiff)"
+gate ./internal/stream 'BenchmarkDiffFirst$' \
+    'BenchmarkDiffFirst' "$(serving_ns BenchmarkDiffFirst)"
 gate ./internal/server 'BenchmarkNewRuleIndex$' \
     'BenchmarkNewRuleIndex' "$(serving_ns BenchmarkNewRuleIndex)"
+gate ./internal/server 'BenchmarkNewSnapshot$' \
+    'BenchmarkNewSnapshot' "$(serving_ns BenchmarkNewSnapshot)"
+gate ./internal/shard 'BenchmarkRemerge$' \
+    'BenchmarkRemerge' "$(serving_ns BenchmarkRemerge)"
 gate ./internal/server 'BenchmarkServingKeywordIndexed$' \
     'BenchmarkServingKeywordIndexed' "$(serving_ns BenchmarkServingKeywordIndexed)"
 gate ./internal/server 'BenchmarkServingSortIndexed$' \
