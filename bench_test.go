@@ -193,15 +193,6 @@ func BenchmarkMinerFPGrowth(b *testing.B) {
 	}
 }
 
-func BenchmarkMinerFPGrowthSequential(b *testing.B) {
-	db := paiDB(b)
-	minCount := db.Len() / 20
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fpgrowth.Mine(db, fpgrowth.Options{MinCount: minCount, MaxLen: 5, Workers: 1})
-	}
-}
-
 func BenchmarkMinerApriori(b *testing.B) {
 	db := paiDB(b)
 	minCount := db.Len() / 20

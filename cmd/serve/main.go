@@ -45,8 +45,8 @@
 //
 // Every mine builds its FP-tree afresh from the captured window; rule
 // generation, the drift diff and the query index are O(rules) anyway, and a
-// tree maintained across mines measured no faster end to end. Mining
-// parallelism follows GOMAXPROCS. -pprof-addr exposes net/http/pprof on a
+// tree maintained across mines measured no faster end to end. Each mine
+// runs FP-Growth on one goroutine. -pprof-addr exposes net/http/pprof on a
 // separate listener for profiling the mine loop in production.
 //
 // With -spec generic the encoder is derived from flags instead of the

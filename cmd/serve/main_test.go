@@ -161,18 +161,6 @@ func TestBuildConfigPAI(t *testing.T) {
 	}
 }
 
-// TestBuildConfigMineWorkers: serve sets no mining parallelism of its own,
-// so Workers stays zero and GOMAXPROCS decides.
-func TestBuildConfigMineWorkers(t *testing.T) {
-	cfg, err := buildConfig(baseOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Workers != 0 {
-		t.Errorf("Workers = %d, want 0 (GOMAXPROCS)", cfg.Workers)
-	}
-}
-
 func TestBuildConfigGeneric(t *testing.T) {
 	o := baseOptions()
 	o.spec = "generic"

@@ -97,8 +97,6 @@ type Options struct {
 	// KeepItems exempts item names from prevalence dropping (use for a
 	// keyword under study that happens to be very common).
 	KeepItems []string
-	// Workers bounds FP-Growth parallelism; zero means GOMAXPROCS.
-	Workers int
 }
 
 // Pipeline is a declarative preprocessing + mining configuration.
@@ -287,7 +285,6 @@ func (p *Pipeline) Mine(f *dataset.Frame) (*Result, error) {
 	frequent := fpgrowth.Mine(db, fpgrowth.Options{
 		MinCount: stream.MinCount(minSupport, db.Len()),
 		MaxLen:   maxLen,
-		Workers:  opts.Workers,
 	})
 	return &Result{
 		DB:              db,

@@ -40,14 +40,3 @@ func BenchmarkMineByThreshold(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkMineParallelism(b *testing.B) {
-	db := benchDB(30000, 60, 12)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fpgrowth.Mine(db, fpgrowth.Options{MinCount: db.Len() / 30, MaxLen: 5, Workers: workers})
-			}
-		})
-	}
-}

@@ -23,16 +23,13 @@
 //   - Conditional projections reuse per-miner pooled trees and scratch
 //     buffers, so recursion allocates nothing once the pool is warm.
 //
-// Mining the conditional tree of each initial header item is independent
-// work, so Mine fans those projections out over a worker pool, dispatching
-// the heaviest header chains first; the initial tree is shared read-only
-// and every worker owns its scratch.
+// Mining is one serial pass: the conditional tree of each initial header
+// item is projected and mined in turn, bottom-up, and the collected
+// itemsets get one canonical sort at the end.
 package fpgrowth
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/itemset"
 	"repro/internal/transaction"
@@ -46,8 +43,8 @@ type Options struct {
 	// MaxLen caps the itemset length (the paper uses 5). Zero means
 	// unlimited.
 	MaxLen int
-	// Workers sets the parallelism for top-level conditional trees. Zero
-	// means GOMAXPROCS; 1 forces sequential mining.
+	// Workers is ignored: Mine runs serially on the caller's goroutine.
+	// The field stays only because perfbench still sets it.
 	Workers int
 }
 
@@ -282,10 +279,9 @@ func equalRanks(a, b []int32) bool {
 	return true
 }
 
-// miner is per-goroutine mining state: a free list of trees so conditional
+// miner is the state of one mine: a free list of trees so conditional
 // projections at every recursion depth recycle arenas instead of
-// allocating, plus the emit sink. Workers each own a miner; the shared
-// initial tree is only ever read.
+// allocating, plus the emit sink. The initial tree is only ever read.
 type miner struct {
 	free []*tree
 	emit func(itemset.Frequent)
@@ -425,29 +421,6 @@ func (m *miner) emitPathSubsets(t *tree, prefix itemset.Set, path []int32, maxLe
 	rec(0, base, 0)
 }
 
-// jobOrder returns the given top-level ranks sorted by descending
-// conditional-base size (header-chain node count), ties by rank.
-// Dispatching the heaviest subtrees first keeps one straggler from
-// serializing the tail of the worker pool.
-func (t *tree) jobOrder(ranks []int32) []int32 {
-	sizes := make([]int32, len(t.counts))
-	for _, r := range ranks {
-		n := int32(0)
-		for ni := t.heads[r]; ni != nilIdx; ni = t.nodes[ni].next {
-			n++
-		}
-		sizes[r] = n
-	}
-	order := append([]int32(nil), ranks...)
-	sort.Slice(order, func(a, b int) bool {
-		if sizes[order[a]] != sizes[order[b]] {
-			return sizes[order[a]] > sizes[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	return order
-}
-
 // Mine returns every itemset with support count >= opts.MinCount and length
 // <= opts.MaxLen, with exact counts. Results are in canonical order.
 func Mine(db *transaction.DB, opts Options) []itemset.Frequent {
@@ -466,68 +439,23 @@ func Mine(db *transaction.DB, opts Options) []itemset.Frequent {
 // must be frequent (count >= t.minCnt) and t.minCnt must match
 // opts.MinCount. Mine passes every rank of a freshly built tree;
 // FrozenTree.Mine passes only the currently frequent ranks of a maintained
-// tree. The tree is only ever read, so workers share it without locks.
+// tree, which it only ever reads. Ranks are mined bottom-up, each emitting
+// its singleton and recursing into its conditional tree.
 func mineTop(t *tree, top []int32, opts Options) []itemset.Frequent {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(top) {
-		workers = len(top)
-	}
-
 	var results []itemset.Frequent
-	if workers <= 1 {
-		m := &miner{emit: func(f itemset.Frequent) { results = append(results, f) }}
-		for i := len(top) - 1; i >= 0; i-- {
-			mineRank(m, t, top[i], opts.MaxLen)
+	m := &miner{emit: func(f itemset.Frequent) { results = append(results, f) }}
+	for i := len(top) - 1; i >= 0; i-- {
+		r := top[i]
+		ext := itemset.NewSet(t.items[r])
+		m.emit(itemset.Frequent{Items: ext, Count: int(t.counts[r])})
+		if opts.MaxLen == 1 {
+			continue
 		}
-		itemset.SortFrequent(results)
-		return results
-	}
-
-	// Parallel top level: each worker takes header ranks off a shared
-	// channel and mines that rank's conditional subtree into a private
-	// buffer with its own arena pool; buffers are concatenated afterwards.
-	// The initial tree is read-only during mining.
-	jobs := make(chan int32)
-	buffers := make([][]itemset.Frequent, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var buf []itemset.Frequent
-			m := &miner{emit: func(f itemset.Frequent) { buf = append(buf, f) }}
-			for r := range jobs {
-				mineRank(m, t, r, opts.MaxLen)
-			}
-			buffers[w] = buf
-		}(w)
-	}
-	for _, r := range t.jobOrder(top) {
-		jobs <- r
-	}
-	close(jobs)
-	wg.Wait()
-	for _, buf := range buffers {
-		results = append(results, buf...)
+		if cond := m.conditional(t, r); cond != nil {
+			m.mine(cond, ext, opts.MaxLen)
+			m.put(cond)
+		}
 	}
 	itemset.SortFrequent(results)
 	return results
-}
-
-// mineRank emits rank r's singleton and recurses into its conditional tree
-// — one top-level unit of mining work, identical on the serial and parallel
-// paths.
-func mineRank(m *miner, t *tree, r int32, maxLen int) {
-	ext := itemset.NewSet(t.items[r])
-	m.emit(itemset.Frequent{Items: ext, Count: int(t.counts[r])})
-	if maxLen == 1 {
-		return
-	}
-	if cond := m.conditional(t, r); cond != nil {
-		m.mine(cond, ext, maxLen)
-		m.put(cond)
-	}
 }

@@ -113,25 +113,6 @@ func TestMaxLenOne(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	db := randomDB(777, 400, 30, 8)
-	seq := Mine(db, Options{MinCount: 8, Workers: 1})
-	par := Mine(db, Options{MinCount: 8, Workers: 4})
-	assertSameResults(t, seq, par)
-}
-
-func assertSameResults(t *testing.T, a, b []itemset.Frequent) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("result sizes differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !a[i].Items.Equal(b[i].Items) || a[i].Count != b[i].Count {
-			t.Fatalf("results differ at %d: %v/%d vs %v/%d", i, a[i].Items, a[i].Count, b[i].Items, b[i].Count)
-		}
-	}
-}
-
 // randomDB builds a deterministic random database with nItems items and
 // transactions of length ~avgLen.
 func randomDB(seed int64, nTxns, nItems, avgLen int) *transaction.DB {

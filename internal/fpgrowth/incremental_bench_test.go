@@ -14,7 +14,9 @@ import (
 // tick. One benchmark op = evict delta transactions, insert delta new ones,
 // mine. The full-rebuild variant is today's steady state (rebuild the tree
 // from all window transactions every tick); the incremental variant pays
-// only the delta plus the mine itself.
+// only the delta plus the mine itself. Each variant draws its transactions
+// from its own freshly seeded generator, so both slide the same window and
+// a variant run alone sees the data it sees beside the other.
 func BenchmarkIncrementalMine(b *testing.B) {
 	const (
 		window = 20000
@@ -22,13 +24,12 @@ func BenchmarkIncrementalMine(b *testing.B) {
 		nItems = 40
 		maxLen = 10
 	)
-	g := stats.NewRNG(7)
 	catalog := itemset.NewCatalog()
 	ids := make([]itemset.Item, nItems)
 	for i := range ids {
 		ids[i] = catalog.Intern("item" + string(rune('a'+i%26)) + string(rune('0'+i/26)))
 	}
-	newTxn := func() itemset.Set {
+	newTxn := func(g *stats.RNG) itemset.Set {
 		n := 1 + g.Intn(maxLen)
 		items := make([]itemset.Item, 0, n)
 		for j := 0; j < n; j++ {
@@ -44,16 +45,17 @@ func BenchmarkIncrementalMine(b *testing.B) {
 	opts := fpgrowth.Options{MinCount: window / 20, MaxLen: 5, Workers: 1}
 
 	b.Run("full-rebuild", func(b *testing.B) {
+		g := stats.NewRNG(7)
 		ring := make([]itemset.Set, window)
 		for i := range ring {
-			ring[i] = newTxn()
+			ring[i] = newTxn(g)
 		}
 		next := 0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < delta; j++ {
-				ring[next] = newTxn()
+				ring[next] = newTxn(g)
 				next = (next + 1) % window
 			}
 			db := transaction.NewDB(catalog)
@@ -65,10 +67,11 @@ func BenchmarkIncrementalMine(b *testing.B) {
 	})
 
 	b.Run("incremental", func(b *testing.B) {
+		g := stats.NewRNG(7)
 		ring := make([]itemset.Set, window)
 		inc := fpgrowth.NewIncremental(fpgrowth.IncOptions{})
 		for i := range ring {
-			ring[i] = newTxn()
+			ring[i] = newTxn(g)
 			inc.Add(ring[i])
 		}
 		next := 0
@@ -79,7 +82,7 @@ func BenchmarkIncrementalMine(b *testing.B) {
 				if err := inc.Remove(ring[next]); err != nil {
 					b.Fatal(err)
 				}
-				ring[next] = newTxn()
+				ring[next] = newTxn(g)
 				inc.Add(ring[next])
 				next = (next + 1) % window
 			}

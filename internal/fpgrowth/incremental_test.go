@@ -16,9 +16,9 @@ import (
 // drive a sliding window through an Incremental tree, and at every mine
 // point the frozen tree must agree with three oracles on the exact window
 // contents — a from-scratch fpgrowth.Mine, Apriori, and a direct
-// DB.SupportCount scan — at worker counts 1, 2 and 4. Maintenance
-// (drift/fragmentation rebuilds) fires at random points mid-schedule, so
-// mines land on fresh, decayed and just-rebuilt trees alike.
+// DB.SupportCount scan. Maintenance (drift/fragmentation rebuilds) fires
+// at random points mid-schedule, so mines land on fresh, decayed and
+// just-rebuilt trees alike.
 func TestIncrementalInterleavedOracle(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		g := stats.NewRNG(int64(4200 + trial))
@@ -76,19 +76,15 @@ func TestIncrementalInterleavedOracle(t *testing.T) {
 			if !sameResults(want, ap) {
 				t.Fatalf("trial %d step %d: FP-Growth and Apriori disagree on the window", trial, step)
 			}
-			frozen := inc.Freeze()
-			for _, workers := range []int{1, 2, 4} {
-				opts.Workers = workers
-				got := frozen.Mine(opts)
-				if !sameResults(want, got) {
-					t.Fatalf("trial %d step %d (window=%d min=%d maxLen=%d workers=%d): incremental mine %d itemsets, full rebuild %d",
-						trial, step, len(window), minCount, maxLen, workers, len(got), len(want))
-				}
-				for _, f := range got {
-					if scan := db.SupportCount(f.Items); scan != f.Count {
-						t.Fatalf("trial %d step %d: itemset %v count %d, DB scan says %d",
-							trial, step, f.Items, f.Count, scan)
-					}
+			got := inc.Freeze().Mine(opts)
+			if !sameResults(want, got) {
+				t.Fatalf("trial %d step %d (window=%d min=%d maxLen=%d): incremental mine %d itemsets, full rebuild %d",
+					trial, step, len(window), minCount, maxLen, len(got), len(want))
+			}
+			for _, f := range got {
+				if scan := db.SupportCount(f.Items); scan != f.Count {
+					t.Fatalf("trial %d step %d: itemset %v count %d, DB scan says %d",
+						trial, step, f.Items, f.Count, scan)
 				}
 			}
 		}

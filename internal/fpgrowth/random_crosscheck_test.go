@@ -9,14 +9,12 @@ import (
 )
 
 // TestRandomizedOracle hammers the dense-rank engine with 50 seeded random
-// databases of varying shape, checking three properties per trial:
+// databases of varying shape, checking two properties per trial:
 //
 //  1. FP-Growth and Apriori produce identical itemsets with identical
 //     counts (independent algorithm as reference).
 //  2. Every reported count matches transaction.DB.SupportCount, a direct
 //     scan of the database (ground-truth oracle, no mining involved).
-//  3. Worker counts 1, 2 and 4 produce byte-identical result slices, so
-//     the parallel fan-out is a pure scheduling choice.
 func TestRandomizedOracle(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		g := stats.NewRNG(int64(7000 + trial))
@@ -37,13 +35,6 @@ func TestRandomizedOracle(t *testing.T) {
 			if got := db.SupportCount(f.Items); got != f.Count {
 				t.Fatalf("trial %d: itemset %v count %d, DB scan says %d",
 					trial, f.Items, f.Count, got)
-			}
-		}
-		for _, workers := range []int{2, 4} {
-			par := fpgrowth.Mine(db, fpgrowth.Options{MinCount: minCount, MaxLen: maxLen, Workers: workers})
-			if !sameResults(serial, par) {
-				t.Fatalf("trial %d: workers=%d differs from serial: %d vs %d itemsets",
-					trial, workers, len(par), len(serial))
 			}
 		}
 	}

@@ -12,13 +12,13 @@ import (
 // gestures at ("to reduce the abundance of rules, one simply increases the
 // thresholds"): here the abundance is fixed and the threshold found
 // automatically. Ties at the k-th count are all included, so the result may
-// slightly exceed k. MaxLen and Workers behave as in Options.
+// slightly exceed k. MaxLen behaves as in Options.
 //
 // The search starts at the largest singleton count and halves the threshold
 // until at least k itemsets qualify; the final mine then trims to the k-th
 // count. Dense databases therefore never pay for a full threshold-1 mine
 // unless k genuinely demands it.
-func MineTopK(db *transaction.DB, k, maxLen, workers int) []itemset.Frequent {
+func MineTopK(db *transaction.DB, k, maxLen int) []itemset.Frequent {
 	if k < 1 || db.Len() == 0 {
 		return nil
 	}
@@ -34,7 +34,7 @@ func MineTopK(db *transaction.DB, k, maxLen, workers int) []itemset.Frequent {
 	threshold := maxCount
 	var result []itemset.Frequent
 	for {
-		result = Mine(db, Options{MinCount: threshold, MaxLen: maxLen, Workers: workers})
+		result = Mine(db, Options{MinCount: threshold, MaxLen: maxLen})
 		if len(result) >= k || threshold == 1 {
 			break
 		}

@@ -30,7 +30,7 @@ func topkDB() *transaction.DB {
 
 func TestMineTopKBasics(t *testing.T) {
 	db := topkDB()
-	got := MineTopK(db, 10, 5, 1)
+	got := MineTopK(db, 10, 5)
 	if len(got) < 10 {
 		t.Fatalf("got %d itemsets, want >= 10", len(got))
 	}
@@ -73,11 +73,11 @@ func TestMineTopKSmallK(t *testing.T) {
 		db.AddNames("b")
 	}
 	db.AddNames("c")
-	got := MineTopK(db, 1, 0, 1)
+	got := MineTopK(db, 1, 0)
 	if len(got) != 1 || db.Catalog().Name(got[0].Items[0]) != "a" {
 		t.Errorf("top-1 = %v", got)
 	}
-	got2 := MineTopK(db, 2, 0, 1)
+	got2 := MineTopK(db, 2, 0)
 	if len(got2) != 2 {
 		t.Errorf("top-2 size = %d", len(got2))
 	}
@@ -86,7 +86,7 @@ func TestMineTopKSmallK(t *testing.T) {
 func TestMineTopKMoreThanExists(t *testing.T) {
 	db := transaction.NewDB(nil)
 	db.AddNames("x", "y")
-	got := MineTopK(db, 100, 0, 1)
+	got := MineTopK(db, 100, 0)
 	if len(got) != 3 { // {x}, {y}, {x,y}
 		t.Errorf("got %d itemsets, want all 3", len(got))
 	}
@@ -94,22 +94,22 @@ func TestMineTopKMoreThanExists(t *testing.T) {
 
 func TestMineTopKDegenerate(t *testing.T) {
 	db := transaction.NewDB(nil)
-	if got := MineTopK(db, 5, 0, 1); got != nil {
+	if got := MineTopK(db, 5, 0); got != nil {
 		t.Errorf("empty DB should yield nil, got %v", got)
 	}
 	db.AddNames()
-	if got := MineTopK(db, 5, 0, 1); got != nil {
+	if got := MineTopK(db, 5, 0); got != nil {
 		t.Errorf("empty transactions should yield nil, got %v", got)
 	}
 	db.AddNames("a")
-	if got := MineTopK(db, 0, 0, 1); got != nil {
+	if got := MineTopK(db, 0, 0); got != nil {
 		t.Errorf("k=0 should yield nil, got %v", got)
 	}
 }
 
 func TestMineTopKRespectsMaxLen(t *testing.T) {
 	db := topkDB()
-	for _, f := range MineTopK(db, 50, 2, 1) {
+	for _, f := range MineTopK(db, 50, 2) {
 		if len(f.Items) > 2 {
 			t.Fatalf("MaxLen violated: %v", f.Items)
 		}

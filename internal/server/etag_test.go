@@ -6,17 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/itemset"
 	"repro/internal/stream"
 )
 
 func testSnapshot(seq int64, stale bool) *Snapshot {
-	return &Snapshot{
-		Seq:     seq,
-		MinedAt: time.Now(),
-		View:    &stream.View{Catalog: itemset.NewCatalog(), WindowLen: 3, Total: 3},
-		Stale:   stale,
-	}
+	view := &stream.View{Catalog: itemset.NewCatalog(), WindowLen: 3, Total: 3}
+	return NewSnapshot(nil, seq, view, faultinject.RealClock(), time.Now(), stale)
 }
 
 // /v1/rules must carry an ETag keyed on the snapshot seq and answer 304 to

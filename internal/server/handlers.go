@@ -547,16 +547,6 @@ func page(rs []rules.Rule, order []int32, q ruleQuery) []rules.Rule {
 	return out
 }
 
-// snapIndex returns the snapshot's publish-time index, or builds a
-// throwaway one for hand-assembled snapshots that never went through
-// publish (tests, external callers).
-func snapIndex(snap *Snapshot) *RuleIndex {
-	if snap.Index != nil {
-		return snap.Index
-	}
-	return NewRuleIndex(snap.View)
-}
-
 // WriteRules renders snap as a /v1/rules response — the shared read path of
 // the single-miner server, the per-tenant shard views, and the merged
 // multi-shard view. A nil snap answers 503 (nothing mined yet). The
@@ -588,7 +578,7 @@ func WriteRules(w http.ResponseWriter, r *http.Request, snap *Snapshot, p RulesP
 	}
 
 	view := snap.View
-	ix := snapIndex(snap)
+	ix := snap.Index
 	resp := rulesResponse{
 		Seq:       snap.Seq,
 		MinedAt:   snap.MinedAt,
@@ -680,7 +670,7 @@ func WriteDrift(w http.ResponseWriter, r *http.Request, snap *Snapshot, p DriftP
 	delta := snap.Delta
 	resp := driftResponse{Seq: snap.Seq, PrevSeq: snap.PrevSeq, Jaccard: delta.Jaccard}
 	if keyword := q.Get("keyword"); keyword != "" {
-		item, name, ok := resolve(w, snapIndex(snap), keyword)
+		item, name, ok := resolve(w, snap.Index, keyword)
 		if !ok {
 			return
 		}

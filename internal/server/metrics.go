@@ -101,13 +101,11 @@ func (s *Server) Samples() []Sample {
 			Gauge("snapshot_stale", "1 while the published snapshot is a stale republish.", snap.Stale),
 			Counter("observed_total", "Transactions observed since the stream began.", snap.View.Total),
 		)
-		if snap.Index != nil {
-			hits, misses := snap.Index.CacheStats()
-			out = append(out,
-				Counter("keyword_cache_hits", "Keyword analyses the snapshot's index served from its cache.", hits),
-				Counter("keyword_cache_misses", "Keyword analyses the snapshot's index computed cold.", misses),
-			)
-		}
+		hits, misses := snap.Index.CacheStats()
+		out = append(out,
+			Counter("keyword_cache_hits", "Keyword analyses the snapshot's index served from its cache.", hits),
+			Counter("keyword_cache_misses", "Keyword analyses the snapshot's index computed cold.", misses),
+		)
 	}
 	return out
 }

@@ -80,10 +80,8 @@ type Config struct {
 	// QueueSize bounds the ingest queue; a full queue turns POSTs into
 	// 429 responses. Zero means 8192.
 	QueueSize int
-	// Workers sets the FP-Growth mining parallelism (conditional subtrees;
-	// rule generation is serial). Zero means GOMAXPROCS, the only value
-	// cmd/serve uses; 1 forces serial mining. Snapshots are identical for
-	// any worker count.
+	// Workers is ignored: every mine is serial. The field stays only
+	// because perfbench still reads it.
 	Workers int
 	// StateDir, when set, makes the server durable: the mining loop
 	// checkpoints its full state (fitted discretizers, tier and prevalence
@@ -166,9 +164,9 @@ type Snapshot struct {
 	MineDuration time.Duration
 	// View carries the rules plus the frozen catalog to render them.
 	View *stream.View
-	// Index is the read-path query index built at publish time. Handlers
-	// must go through snapIndex, which builds a throwaway index when a
-	// hand-assembled snapshot (tests, external callers) left this nil.
+	// Index is the read-path query index over View, built at publish time.
+	// It is required: handlers read it without a nil check, so a snapshot
+	// assembled outside NewSnapshot must set it with NewRuleIndex(View).
 	Index *RuleIndex
 	// Delta is the structural diff against the previous snapshot.
 	Delta stream.Delta
@@ -401,7 +399,6 @@ func (s *Server) streamConfig() stream.Config {
 		MinSupport: s.cfg.MinSupport,
 		MaxLen:     s.cfg.MaxLen,
 		MinLift:    s.cfg.MinLift,
-		Workers:    s.cfg.Workers,
 	}
 }
 

@@ -575,17 +575,18 @@ func TestRulesHandlerParams(t *testing.T) {
 	}
 }
 
-// TestWorkersSnapshotEquivalence ingests the same event stream into a
-// 1-worker and an N-worker server and asserts the /v1/rules responses are
-// identical: mining parallelism must never change what operators see.
-func TestWorkersSnapshotEquivalence(t *testing.T) {
+// TestTwoServersSnapshotEquivalence feeds the same event stream to two
+// servers and asserts their /v1/rules, keyword and /v1/drift responses are
+// identical: the publish stages NewSnapshot runs side by side (diff,
+// postings, sort orders) must never change what operators see.
+func TestTwoServersSnapshotEquivalence(t *testing.T) {
 	const jobs = 3000
 	lines := paiNDJSON(t, jobs, 11)
 	type bodies struct {
-		rules, keyword map[string]any
+		rules, keyword, drift map[string]any
 	}
 	var got []bodies
-	for _, workers := range []int{1, 4} {
+	for range 2 {
 		s, err := New(Config{
 			Spec:         PAISpec(),
 			WindowSize:   5000,
@@ -593,7 +594,6 @@ func TestWorkersSnapshotEquivalence(t *testing.T) {
 			MineBatch:    jobs,
 			MineInterval: time.Hour, // batch-driven: exactly one mine
 			QueueSize:    4096,
-			Workers:      workers,
 			KeepItems:    []string{"status=failed"},
 		})
 		if err != nil {
@@ -609,15 +609,20 @@ func TestWorkersSnapshotEquivalence(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 		var b bodies
-		if code := getJSON(t, ts.URL+"/v1/rules?limit=100000", &b.rules); code != http.StatusOK {
-			t.Fatalf("/v1/rules status %d", code)
+		for _, q := range []struct {
+			url  string
+			body *map[string]any
+		}{
+			{"/v1/rules?limit=100000", &b.rules},
+			{"/v1/rules?keyword=failed&kind=all&limit=100000", &b.keyword},
+			{"/v1/drift?limit=100000", &b.drift},
+		} {
+			if code := getJSON(t, ts.URL+q.url, q.body); code != http.StatusOK {
+				t.Fatalf("%s status %d", q.url, code)
+			}
+			// Timing fields legitimately differ between runs.
+			delete(*q.body, "mined_at")
 		}
-		if code := getJSON(t, ts.URL+"/v1/rules?keyword=failed&kind=all&limit=100000", &b.keyword); code != http.StatusOK {
-			t.Fatalf("/v1/rules?keyword=failed status %d", code)
-		}
-		// Timing fields legitimately differ between runs.
-		delete(b.rules, "mined_at")
-		delete(b.keyword, "mined_at")
 		got = append(got, b)
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -627,13 +632,19 @@ func TestWorkersSnapshotEquivalence(t *testing.T) {
 		cancel()
 	}
 	if n, ok := got[0].rules["rule_count"].(float64); !ok || n == 0 {
-		t.Fatalf("serial run mined no rules: %v", got[0].rules["rule_count"])
+		t.Fatalf("first run mined no rules: %v", got[0].rules["rule_count"])
+	}
+	if a, ok := got[0].drift["appeared"].([]any); !ok || len(a) == 0 {
+		t.Fatalf("first run's drift lists no appeared rules: %v", got[0].drift["appeared"])
 	}
 	if !reflect.DeepEqual(got[0].rules, got[1].rules) {
-		t.Error("/v1/rules differs between 1-worker and 4-worker runs")
+		t.Error("/v1/rules differs between two servers fed the same stream")
 	}
 	if !reflect.DeepEqual(got[0].keyword, got[1].keyword) {
-		t.Error("/v1/rules?keyword=failed differs between 1-worker and 4-worker runs")
+		t.Error("/v1/rules?keyword=failed differs between two servers fed the same stream")
+	}
+	if !reflect.DeepEqual(got[0].drift, got[1].drift) {
+		t.Error("/v1/drift differs between two servers fed the same stream")
 	}
 }
 

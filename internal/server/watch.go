@@ -325,7 +325,7 @@ func serveWatchPoll(w http.ResponseWriter, r *http.Request, hub *WatchHub, after
 		resp.Events = append(resp.Events, json.RawMessage(ev.data))
 	}
 	if len(resp.Events) == 0 {
-		//armlint:allow clockcheck per-request long-poll deadline, not mining state; tests pass wait=0 to skip it
+		//armlint:allow clockcheck per-request long-poll deadline, not mining state: it only ends an idle poll and feeds no snapshot or metric
 		timer := time.NewTimer(wait)
 		defer timer.Stop()
 		select {

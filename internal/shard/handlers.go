@@ -126,7 +126,7 @@ func (c *Cluster) metrics() ([]server.Sample, map[string]any) {
 	// A scrape never pays for a merge: the merged view's cache counters are
 	// the last merged snapshot's, 0 before the first merge.
 	var hits, misses int64
-	if m := c.merged.Load(); m != nil && m.snap.Index != nil {
+	if m := c.merged.Load(); m != nil {
 		hits, misses = m.snap.Index.CacheStats()
 	}
 	out := []server.Sample{

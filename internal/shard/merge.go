@@ -114,7 +114,7 @@ func (c *Cluster) remerge(snaps []*server.Snapshot, key string) *mergedSnap {
 	// clones, so consecutive merges diff structurally just like consecutive
 	// single-miner snapshots.
 	sc := c.cfg.Shard
-	cfg := stream.Config{MinSupport: sc.MinSupport, MaxLen: sc.MaxLen, MinLift: sc.MinLift, Workers: sc.Workers}
+	cfg := stream.Config{MinSupport: sc.MinSupport, MaxLen: sc.MaxLen, MinLift: sc.MinLift}
 	view := stream.Capture(cfg, c.mergeCatalog.Clone(), window, total).Mine()
 	var prev *server.Snapshot
 	if m := c.merged.Load(); m != nil {

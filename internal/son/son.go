@@ -119,7 +119,6 @@ func MineShards(shards []*transaction.DB, opts Options) []itemset.Frequent {
 			candidateSets[i] = fpgrowth.Mine(sh, fpgrowth.Options{
 				MinCount: localMin,
 				MaxLen:   opts.MaxLen,
-				Workers:  1, // outer loop already saturates the pool
 			})
 		}(i, sh)
 	}

@@ -53,9 +53,8 @@ type Config struct {
 	MaxLen int
 	// MinLift filters generated rules; zero means 1.5.
 	MinLift float64
-	// Workers sets the mining parallelism, forwarded to fpgrowth.Mine
-	// (rule generation is serial). Zero means GOMAXPROCS; 1 forces serial
-	// mining. The mined rules are identical for any worker count.
+	// Workers is ignored: mining and rule generation are serial. The field
+	// stays only because perfbench still sets it.
 	Workers int
 }
 
@@ -242,7 +241,6 @@ func (pv *PendingView) Mine() *View {
 		frequent := fpgrowth.Mine(db, fpgrowth.Options{
 			MinCount: MinCount(pv.cfg.MinSupport, n),
 			MaxLen:   pv.cfg.MaxLen,
-			Workers:  pv.cfg.Workers,
 		})
 		rs = rules.Generate(frequent, n, rules.Options{MinLift: pv.cfg.MinLift})
 	}

@@ -319,43 +319,6 @@ func TestObserveCanonicalizes(t *testing.T) {
 	}
 }
 
-// TestWorkersSnapshotEquivalence: the Workers knob changes scheduling, not
-// results — miners fed the same window must snapshot identical rules for
-// any worker count.
-func TestWorkersSnapshotEquivalence(t *testing.T) {
-	snapshots := make([][]rules.Rule, 0, 3)
-	for _, workers := range []int{1, 2, 4} {
-		m, err := New(nil, Config{WindowSize: 400, MinLift: 1.1, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := stats.NewRNG(99)
-		names := []string{"a", "b", "c", "d", "e", "f", "g"}
-		for i := 0; i < 400; i++ {
-			var txn []string
-			for _, n := range names {
-				if g.Bernoulli(0.35) {
-					txn = append(txn, n)
-				}
-			}
-			if len(txn) > 0 && txn[0] == "a" && g.Bernoulli(0.8) {
-				txn = append(txn, "b")
-			}
-			m.ObserveNames(txn...)
-		}
-		snapshots = append(snapshots, m.Snapshot())
-	}
-	if len(snapshots[0]) == 0 {
-		t.Fatal("expected rules in the serial snapshot")
-	}
-	for i := 1; i < len(snapshots); i++ {
-		if !reflect.DeepEqual(snapshots[0], snapshots[i]) {
-			t.Fatalf("snapshot with workers=%d differs from serial: %d vs %d rules",
-				[]int{1, 2, 4}[i], len(snapshots[i]), len(snapshots[0]))
-		}
-	}
-}
-
 // Export/RestoreWindow round trip: a miner rebuilt from an export mines the
 // same rules, both before and after the ring has wrapped.
 func TestExportRestoreWindowRoundTrip(t *testing.T) {
