@@ -35,13 +35,13 @@
 // online prevalence drop so the keyword under study cannot be deleted by a
 // failure-heavy window.
 //
-// With -wal-dir every accepted event is additionally framed into a
-// write-ahead log before it is acknowledged, and a restart replays the WAL
-// tail on top of the checkpoint — a kill -9 between checkpoints loses
-// nothing (-fsync always) or at most the last 100 ms sync interval (-fsync
-// interval, the default). -mine-timeout arms a watchdog that abandons a
-// hung re-mine and keeps serving the last good snapshot, marked stale,
-// while /healthz reports the degraded state.
+// With -wal-dir (which needs -state-dir) every accepted event is
+// additionally framed into a write-ahead log before it is acknowledged, and
+// a restart replays the WAL tail on top of the checkpoint — a kill -9
+// between checkpoints loses nothing (-fsync always) or at most the last
+// 100 ms sync interval (-fsync interval, the default). -mine-timeout arms a
+// watchdog that abandons a hung re-mine and keeps serving the last good
+// snapshot, marked stale, while /healthz reports the degraded state.
 //
 // Every mine builds its FP-tree afresh from the captured window; rule
 // generation, the drift diff and the query index are O(rules) anyway, and a
@@ -100,7 +100,7 @@ func main() {
 	queue := flag.Int("queue", 8192, "ingest queue capacity (full queue => 429)")
 	bootstrap := flag.Int("bootstrap", 500, "jobs sampled before bin edges are fitted")
 	stateDir := flag.String("state-dir", "", "directory for the durable checkpoint; empty disables checkpoint/restore")
-	walDir := flag.String("wal-dir", "", "directory for the write-ahead log of accepted events; empty disables the WAL")
+	walDir := flag.String("wal-dir", "", "directory for the write-ahead log of accepted events (needs -state-dir); empty disables the WAL")
 	fsync := flag.String("fsync", "interval", "WAL durability: always (sync every append), interval (every 100ms), or never")
 	mineTimeout := flag.Duration("mine-timeout", 0, "abandon a mine running longer than this and serve the last snapshot as stale (0 disables)")
 	keep := flag.String("keep", "", "comma-separated item names exempt from the prevalence drop (e.g. status=failed)")
@@ -173,6 +173,11 @@ type options struct {
 }
 
 func buildConfig(o options) (server.Config, error) {
+	// The WAL is truncated only behind a checkpoint, so without a state dir
+	// it would grow with the stream and every restart would replay it whole.
+	if o.walDir != "" && o.stateDir == "" {
+		return server.Config{}, fmt.Errorf("-wal-dir needs -state-dir: the log is truncated only behind a checkpoint")
+	}
 	cfg := server.Config{
 		WindowSize:   o.window,
 		MinSupport:   o.minSupport,

@@ -280,6 +280,7 @@ func TestBuildConfigDurabilityFlags(t *testing.T) {
 
 func TestBuildConfigWALFlags(t *testing.T) {
 	o := baseOptions()
+	o.stateDir = "/var/lib/armine"
 	o.walDir = "/var/lib/armine/wal"
 	o.fsync = "always"
 	o.mineTimeout = 30 * time.Second
@@ -292,6 +293,11 @@ func TestBuildConfigWALFlags(t *testing.T) {
 	}
 	if cfg.MineTimeout != 30*time.Second {
 		t.Errorf("MineTimeout = %v", cfg.MineTimeout)
+	}
+	// Without a state dir nothing ever truncates the WAL: refused.
+	o.stateDir = ""
+	if _, err := buildConfig(o); err == nil || !strings.Contains(err.Error(), "-state-dir") {
+		t.Errorf("-wal-dir without -state-dir: err = %v, want a refusal naming -state-dir", err)
 	}
 }
 

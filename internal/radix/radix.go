@@ -23,21 +23,14 @@ func DescKey(x float64) uint64 {
 	return ^b
 }
 
-// Sort's digit width follows the input size. Seven-bit digits keep the
-// per-call bucket work small for the ~50-rule keyword lists the serving
-// path sorts per request; from wideFrom keys up, 11-bit digits take six
-// passes instead of ten, which pays for their larger count tables on a
-// full rule table; the two measure about even at wideFrom. Each width has
-// its own copy of the sort so that its digit count and bucket mask stay
-// constants the compiler folds.
+// Sort takes 11-bit digits: six passes over the keys, each with a
+// 2048-bucket count table, sized for the rule tables it orders (thousands
+// to a hundred thousand keys). The digit width is a constant so that the
+// digit count and bucket mask fold.
 const (
-	narrowBits    = 7
-	narrowBuckets = 1 << narrowBits
-	narrowDigits  = (64 + narrowBits - 1) / narrowBits
-	wideBits      = 11
-	wideBuckets   = 1 << wideBits
-	wideDigits    = (64 + wideBits - 1) / wideBits
-	wideFrom      = 1024
+	digitBits = 11
+	buckets   = 1 << digitBits
+	digits    = (64 + digitBits - 1) / digitBits
 )
 
 // Sort sorts keys ascending by a stable LSD radix sort, carrying vals
@@ -46,31 +39,22 @@ const (
 // clobbered, and the results may be the inputs or fresh slices. One pass
 // counts every digit, and a digit all keys share is skipped.
 func Sort(keys, scratch []uint64, vals []int32) ([]uint64, []int32) {
-	switch n := len(keys); {
-	case n < 2:
+	n := len(keys)
+	if n < 2 {
 		return keys, vals
-	case n < wideFrom:
-		return sortNarrow(keys, scratch, vals)
-	default:
-		return sortWide(keys, scratch, vals)
 	}
-}
-
-// sortNarrow is Sort with 7-bit digits.
-func sortNarrow(keys, scratch []uint64, vals []int32) ([]uint64, []int32) {
-	n := len(keys)
-	var counts [narrowDigits][narrowBuckets]int32
+	counts := new([digits][buckets]int32)
 	for _, k := range keys {
 		for d := range counts {
-			counts[d][k>>(narrowBits*d)&(narrowBuckets-1)]++
+			counts[d][k>>(digitBits*d)&(buckets-1)]++
 		}
 	}
 	src, srcV := keys, vals
 	dst, dstV := scratch, []int32(nil)
 	for d := range counts {
 		c := &counts[d]
-		shift := narrowBits * d
-		if int(c[src[0]>>shift&(narrowBuckets-1)]) == n {
+		shift := digitBits * d
+		if int(c[src[0]>>shift&(buckets-1)]) == n {
 			continue
 		}
 		if dstV == nil {
@@ -82,44 +66,7 @@ func sortNarrow(keys, scratch []uint64, vals []int32) ([]uint64, []int32) {
 			sum += cnt
 		}
 		for i, k := range src {
-			b := k >> shift & (narrowBuckets - 1)
-			dst[c[b]] = k
-			dstV[c[b]] = srcV[i]
-			c[b]++
-		}
-		src, dst = dst, src
-		srcV, dstV = dstV, srcV
-	}
-	return src, srcV
-}
-
-// sortWide is Sort with 11-bit digits.
-func sortWide(keys, scratch []uint64, vals []int32) ([]uint64, []int32) {
-	n := len(keys)
-	counts := new([wideDigits][wideBuckets]int32)
-	for _, k := range keys {
-		for d := range counts {
-			counts[d][k>>(wideBits*d)&(wideBuckets-1)]++
-		}
-	}
-	src, srcV := keys, vals
-	dst, dstV := scratch, []int32(nil)
-	for d := range counts {
-		c := &counts[d]
-		shift := wideBits * d
-		if int(c[src[0]>>shift&(wideBuckets-1)]) == n {
-			continue
-		}
-		if dstV == nil {
-			dstV = make([]int32, n)
-		}
-		sum := int32(0)
-		for b, cnt := range c {
-			c[b] = sum
-			sum += cnt
-		}
-		for i, k := range src {
-			b := k >> shift & (wideBuckets - 1)
+			b := k >> shift & (buckets - 1)
 			dst[c[b]] = k
 			dstV[c[b]] = srcV[i]
 			c[b]++

@@ -38,9 +38,9 @@ func benchServe(b *testing.B, h func(http.ResponseWriter, *http.Request), url st
 }
 
 // The headline read-path number: a repeated ?keyword= query against a
-// 20k-job snapshot. The indexed path resolves from the memoized resolver
-// and serves the cached pruned analysis; the linear oracle re-scans the
-// catalog and every rule and re-prunes per request.
+// 20k-job snapshot. Both paths resolve the keyword by walking the catalog;
+// the indexed path then serves the cached pruned analysis, while the
+// linear oracle re-scans every rule and re-prunes per request.
 func BenchmarkServingKeywordIndexed(b *testing.B) {
 	snap := benchSnapshot(b)
 	benchServe(b, func(w http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -334,7 +335,7 @@ func parseCheckpoint(data []byte) (*checkpointFile, error) {
 // and the seq to republish under.
 func (s *Server) restore(cp *checkpointFile, enc *encoder) (*stream.Miner, int64, error) {
 	want := s.idx.specFingerprint()
-	if !equalStrings(cp.Spec, want) {
+	if !slices.Equal(cp.Spec, want) {
 		return nil, 0, fmt.Errorf("checkpoint was written under a different spec (got %v, want %v); move or delete %s to start cold",
 			cp.Spec, want, checkpointFileName)
 	}
@@ -362,16 +363,4 @@ func (s *Server) restore(cp *checkpointFile, enc *encoder) (*stream.Miner, int64
 		return nil, 0, err
 	}
 	return miner, cp.Seq, nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

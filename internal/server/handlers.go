@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -507,19 +509,40 @@ func parseRuleQuery(q url.Values) (ruleQuery, error) {
 }
 
 // applyQuery renders one rule list through the query: re-sorted when a
-// non-natural order was asked for, then filtered and paginated. Used for
-// the keyword analysis lists, which are small post-prune; the no-keyword
-// path walks the index's precomputed orders instead.
+// non-natural order was asked for, descending by the metric with ties
+// kept in lift order, then filtered and paginated. Used for the keyword
+// analysis lists; the no-keyword path walks the index's precomputed
+// orders instead.
 func applyQuery(rs []rules.Rule, q ruleQuery) []rules.Rule {
-	var order []int32
+	var key func(r *rules.Rule) float64
 	switch q.sortKey {
 	case "support":
-		order = sortedOrder(rs, func(r *rules.Rule) float64 { return r.Support })
+		key = func(r *rules.Rule) float64 { return r.Support }
 	case "confidence":
-		order = sortedOrder(rs, func(r *rules.Rule) float64 { return r.Confidence })
+		key = func(r *rules.Rule) float64 { return r.Confidence }
+	default:
+		return page(rs, nil, q)
 	}
+	if len(rs) >= radixFrom {
+		return page(rs, sortedOrder(rs, key), q)
+	}
+	order := make([]int32, len(rs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(key(&rs[b]), key(&rs[a])) })
 	return page(rs, order, q)
 }
+
+// radixFrom is the keyword-list length from which applyQuery sorts by
+// sortedOrder's radix sort rather than a stable comparison sort of the
+// list's positions. Keyword lists span both sides: on the 5000-job PAI
+// fixture the pruned lists of perfbench's query-mix keywords hold 22 to
+// 2,051 rules and the unpruned ones 546 to 21,860. The two sorts measure
+// about even at 384 rules; at 50 the comparison sort takes a quarter of
+// the radix sort's time, at 4,096 the radix sort a third of the
+// comparison sort's (2 vCPU Xeon, go1.24.0).
+const radixFrom = 384
 
 // page walks rs in order (nil means as stored), skips the rules the query's
 // metric floors reject and then its offset, and copies out at most limit

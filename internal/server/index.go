@@ -1,17 +1,18 @@
 // The read-path query engine: a RuleIndex built once per published
 // snapshot so /v1/rules answers in time proportional to the result, not the
 // rule set. Before this, every request re-walked the snapshot — the keyword
-// filter scanned all rules, substring keyword resolution scanned the whole
-// catalog, and the pruning chain re-ran per request — which is exactly the
-// per-query work Fast Dimensional Analysis moves to publish time. The index
-// is immutable after construction except for its two bounded caches, which
-// are internally locked and safe for concurrent readers.
+// filter scanned all rules and the pruning chain re-ran per request — which
+// is exactly the per-query work Fast Dimensional Analysis moves to publish
+// time. Keyword resolution stays a walk of the catalog: it holds tens of
+// names, and resolving against it costs less than indexing it per publish.
+// The index is immutable after construction except for its bounded
+// analysis cache, which is internally locked and safe for concurrent
+// readers.
 package server
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,18 +29,14 @@ import (
 // (item, CLift, CSupp) triples per snapshot is already generous.
 const analysisCacheCap = 64
 
-// resolveCacheCap bounds the keyword-resolution cache.
-const resolveCacheCap = 256
-
 // errAmbiguous is wrapped by Resolve when a keyword is a substring of more
 // than one item name; handlers answer it 400 rather than 404.
 var errAmbiguous = errors.New("ambiguous")
 
 // RuleIndex is the precomputed read-path structure published alongside a
 // Snapshot: an inverted item→rule posting list, pre-sorted metric orders
-// for ?sort=, a catalog substring-resolution index, and a bounded cache of
-// pruned keyword analyses so repeated ?keyword= queries cost O(result)
-// instead of O(rules).
+// for ?sort=, and a bounded cache of pruned keyword analyses so repeated
+// ?keyword= queries cost O(result) instead of O(rules).
 //
 // armlint:immutable — no field writes outside this file (enforced by
 // immutcheck; see internal/lint).
@@ -51,8 +48,6 @@ type RuleIndex struct {
 	// any sort is deterministic. The lift order is the rule slice itself.
 	bySupport    []int32
 	byConfidence []int32
-
-	resolver resolver
 
 	// analyses caches pruned keyword analyses keyed on (item, CLift,
 	// CSupp). An entry is pending until its ready channel closes and
@@ -119,7 +114,6 @@ func newRuleIndex(view *stream.View, prune pruneFunc) *RuleIndex {
 		func() { ix.bySupport = sortedOrder(view.Rules, func(r *rules.Rule) float64 { return r.Support }) },
 		func() { ix.byConfidence = sortedOrder(view.Rules, func(r *rules.Rule) float64 { return r.Confidence }) },
 	)
-	ix.resolver.init(view.Catalog)
 	return ix
 }
 
@@ -241,112 +235,42 @@ func (ix *RuleIndex) CacheStats() (hits, misses int64) {
 
 // Resolve maps a query keyword to a catalog item: exact item name first,
 // then unique substring so operators can write ?keyword=failed for
-// status=failed; ambiguity is an error listing the candidates. It searches
-// the prebuilt blob index with per-keyword memoization; the randomized
-// equivalence suite checks it against a linear catalog scan.
+// status=failed; ambiguity is an error listing the candidates. It walks
+// the catalog, which holds tens of names, and collects them only to build
+// the ambiguity error. TestResolveMatchesLinear and the randomized
+// equivalence suite check it against a linear reference.
 func (ix *RuleIndex) Resolve(keyword string) (itemset.Item, string, error) {
-	return ix.resolver.resolve(keyword)
-}
-
-// resolver is the catalog substring-resolution index: every item name
-// concatenated into one blob (with span offsets), so resolving a keyword is
-// one substring search over a single string instead of a Contains call per
-// catalog entry, plus a bounded memo of past resolutions.
-type resolver struct {
-	catalog *itemset.Catalog
-	blob    string
-	// starts[i] is the blob offset where name i begins; ends[i] where it
-	// ends. A blob occurrence counts only when it lies entirely inside one
-	// name's span, which makes the search exact even when a keyword
-	// contains the separator.
-	starts []int
-	ends   []int
-
-	mu    sync.RWMutex
-	cache map[string]resolution
-}
-
-type resolution struct {
-	item itemset.Item
-	name string
-	err  error
-}
-
-func (rv *resolver) init(c *itemset.Catalog) {
-	rv.catalog = c
-	rv.cache = make(map[string]resolution)
-	if c == nil {
-		return
-	}
-	n := c.Len()
-	rv.starts = make([]int, n)
-	rv.ends = make([]int, n)
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		name := c.Name(itemset.Item(i))
-		rv.starts[i] = b.Len()
-		b.WriteString(name)
-		rv.ends[i] = b.Len()
-		b.WriteByte('\n')
-	}
-	rv.blob = b.String()
-}
-
-func (rv *resolver) resolve(keyword string) (itemset.Item, string, error) {
-	rv.mu.RLock()
-	res, ok := rv.cache[keyword]
-	rv.mu.RUnlock()
-	if !ok {
-		res = rv.lookup(keyword)
-		rv.mu.Lock()
-		if len(rv.cache) >= resolveCacheCap {
-			for k := range rv.cache {
-				delete(rv.cache, k)
-				break
-			}
+	c := ix.view.Catalog
+	n := 0
+	if c != nil {
+		if id, ok := c.Lookup(keyword); ok {
+			return id, keyword, nil
 		}
-		rv.cache[keyword] = res
-		rv.mu.Unlock()
+		n = c.Len()
 	}
-	return res.item, res.name, res.err
-}
-
-func (rv *resolver) lookup(keyword string) resolution {
-	if rv.catalog != nil {
-		if id, ok := rv.catalog.Lookup(keyword); ok {
-			return resolution{item: id, name: keyword}
+	var match itemset.Item
+	count := 0
+	for id := itemset.Item(0); int(id) < n; id++ {
+		if strings.Contains(c.Name(id), keyword) {
+			match = id
+			count++
 		}
 	}
-	// One pass over the blob: every in-name occurrence of the keyword is an
-	// in-blob occurrence, so scanning the blob and span-checking each hit
-	// finds exactly the names a per-name Contains scan would.
-	var matches []string
-	var matchID itemset.Item
-	lastName := -1
-	for from := 0; ; {
-		i := strings.Index(rv.blob[from:], keyword)
-		if i < 0 {
-			break
-		}
-		pos := from + i
-		// The name covering pos: the last span starting at or before it.
-		ni := sort.SearchInts(rv.starts, pos+1) - 1
-		if ni > lastName && pos+len(keyword) <= rv.ends[ni] {
-			matches = append(matches, rv.catalog.Name(itemset.Item(ni)))
-			matchID = itemset.Item(ni)
-			lastName = ni
-		}
-		from = pos + 1
-	}
-	switch len(matches) {
+	switch count {
 	case 0:
-		return resolution{err: fmt.Errorf("keyword %q matches no item in the current snapshot", keyword)}
+		return 0, "", fmt.Errorf("keyword %q matches no item in the current snapshot", keyword)
 	case 1:
-		return resolution{item: matchID, name: matches[0]}
-	default:
-		if len(matches) > 8 {
-			matches = append(matches[:8], "…")
-		}
-		return resolution{err: fmt.Errorf("keyword %q is %w: %s", keyword, errAmbiguous, strings.Join(matches, ", "))}
+		return match, c.Name(match), nil
 	}
+	// Eight names, then "…" when there are more.
+	names := make([]string, 0, 9)
+	for id := itemset.Item(0); int(id) < n && len(names) < 8; id++ {
+		if name := c.Name(id); strings.Contains(name, keyword) {
+			names = append(names, name)
+		}
+	}
+	if count > 8 {
+		names = append(names, "…")
+	}
+	return 0, "", fmt.Errorf("keyword %q is %w: %s", keyword, errAmbiguous, strings.Join(names, ", "))
 }

@@ -65,12 +65,12 @@ func newRuleIndexOracle(view *stream.View) *RuleIndex {
 		bySupport:    sortedOrderOracle(view.Rules, bySupport),
 		byConfidence: sortedOrderOracle(view.Rules, byConfidence),
 	}
-	ix.resolver.init(view.Catalog)
 	return ix
 }
 
 // checkIndexParts fails t unless the postings and both orders match the
-// oracles exactly.
+// oracles exactly, and applyQuery's per-request sort of rs by either key
+// pages the rules in the oracle's order.
 func checkIndexParts(t *testing.T, rs []rules.Rule, items int) {
 	t.Helper()
 	if got, want := stream.IndexRules(rs, items), indexRulesOracle(rs, items); !reflect.DeepEqual(got, want) {
@@ -80,19 +80,24 @@ func checkIndexParts(t *testing.T, rs []rules.Rule, items int) {
 		if got, want := sortedOrder(rs, key), sortedOrderOracle(rs, key); !reflect.DeepEqual(got, want) {
 			t.Fatalf("sortedOrder by %s differs from oracle on %v:\n got %v\nwant %v", name, rs, got, want)
 		}
+		q := ruleQuery{limit: len(rs), sortKey: name}
+		if got, want := applyQuery(rs, q), page(rs, sortedOrderOracle(rs, key), q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("applyQuery by %s differs from oracle order on %v:\n got %v\nwant %v", name, rs, got, want)
+		}
 	}
 }
 
 // Seeded property test over adversarial rule lists: duplicates, rules
 // sharing a side, permutations, heavy metric ties (both zeros among them)
-// and item ids past the declared catalog length.
+// and item ids past the declared catalog length. Lengths run to twice
+// radixFrom, so applyQuery's sort is checked on both sides of its switch.
 func TestPublishIndexMatchesOracleRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260117))
 	checkIndexParts(t, nil, 0)
 	checkIndexParts(t, []rules.Rule{}, 3)
 	for c := 0; c < 400; c++ {
 		items := 1 + rng.Intn(12)
-		rs := benchfix.RandomRules(rng, rng.Intn(300), items)
+		rs := benchfix.RandomRules(rng, rng.Intn(2*radixFrom), items)
 		if c%4 == 0 {
 			rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
 		}
@@ -295,12 +300,11 @@ var (
 	indexSink    *RuleIndex
 	analysisSink *keywordAnalysis
 	rulesSink    []rules.Rule
-	orderSink    []int32
 )
 
-// keywordList is the 50 highest-lift fixture rules mentioning one item: the
-// size and order of the keyword lists applyQuery re-sorts per request.
-func keywordList(b *testing.B) []rules.Rule {
+// fixtureKeyword returns the fixture's second publish point, its index and
+// the status=failed item.
+func fixtureKeyword(b *testing.B) (*RuleIndex, itemset.Item) {
 	_, cur, err := benchfix.PublishPoints()
 	if err != nil {
 		b.Fatal(err)
@@ -309,33 +313,42 @@ func keywordList(b *testing.B) []rules.Rule {
 	if !ok {
 		b.Fatal("fixture has no status=failed item")
 	}
-	rs := NewRuleIndex(cur).Relevant(item)
+	return NewRuleIndex(cur), item
+}
+
+// keywordList is the 50 highest-lift fixture rules mentioning one item:
+// a short keyword list, which applyQuery sorts by comparison.
+func keywordList(b *testing.B) []rules.Rule {
+	ix, item := fixtureKeyword(b)
+	rs := ix.Relevant(item)
 	if len(rs) < 50 {
 		b.Fatalf("only %d rules mention status=failed", len(rs))
 	}
 	return rs[:50]
 }
 
-// The per-request ?sort=support over a 50-rule keyword list. The Oracle
-// twin pays the SliceStable sort applyQuery used to run, then the same
-// filter-and-page walk.
+// The per-request ?sort=support over a 50-rule keyword list.
 func BenchmarkApplyQuerySort(b *testing.B) {
-	rs := keywordList(b)
+	benchApplyQuerySort(b, keywordList(b))
+}
+
+// The per-request sort of ?keyword=failed&sort=support's characteristic
+// list, the pruned analysis's larger side (986 rules on the fixture):
+// long enough that applyQuery radix sorts it.
+func BenchmarkApplyQuerySortRadix(b *testing.B) {
+	ix, item := fixtureKeyword(b)
+	rs := ix.Analysis(item, 1.5, 1.5).prunedSplit.Characteristic
+	if len(rs) < radixFrom {
+		b.Fatalf("status=failed's pruned characteristic list holds %d rules, fewer than radixFrom (%d)", len(rs), radixFrom)
+	}
+	benchApplyQuerySort(b, rs)
+}
+
+func benchApplyQuerySort(b *testing.B, rs []rules.Rule) {
 	q := ruleQuery{limit: 50, sortKey: "support"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rulesSink = applyQuery(rs, q)
-	}
-}
-
-func BenchmarkApplyQuerySortOracle(b *testing.B) {
-	rs := keywordList(b)
-	q := ruleQuery{limit: 50, sortKey: "lift"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		orderSink = sortedOrderOracle(rs, bySupport)
 		rulesSink = applyQuery(rs, q)
 	}
 }

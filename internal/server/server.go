@@ -97,7 +97,10 @@ type Config struct {
 	// WALDir, when set, adds a write-ahead log under it: accepted events
 	// are framed and (per Fsync) synced before they are enqueued, and on
 	// restart the WAL tail is replayed on top of the checkpoint, so a
-	// kill -9 loses nothing acknowledged. Empty disables the WAL.
+	// kill -9 loses nothing acknowledged. Empty disables the WAL. Segments
+	// are removed only once a checkpoint covers them, so the log stays
+	// bounded only with a StateDir; without one it grows with the stream
+	// and a restart replays it whole.
 	WALDir string
 	// Fsync is the WAL durability policy: "always" (sync inside every
 	// append — zero acknowledged-record loss), "interval" (background

@@ -33,7 +33,6 @@ func newRuleIndexSerial(view *stream.View) *RuleIndex {
 		analyses:     make(map[analysisKey]*keywordAnalysis),
 		prune:        pruning.Prune,
 	}
-	ix.resolver.init(view.Catalog)
 	return ix
 }
 
@@ -61,8 +60,8 @@ func newSnapshotSerial(prev *Snapshot, first int64, view *stream.View, clock fau
 
 // checkSnapshot fails t unless NewSnapshot and the serial oracle build the
 // same snapshot after prev: every field, and every index field but the
-// caches (the analysis and resolution caches, their locks and counters,
-// and the pruning step, a func that DeepEqual never equates).
+// cache (the analysis cache, its lock and counters, and the pruning step,
+// a func that DeepEqual never equates).
 func checkSnapshot(t *testing.T, name string, prev *Snapshot, view *stream.View) *Snapshot {
 	t.Helper()
 	clock := faultinject.NewManualClock(time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC))
@@ -86,10 +85,6 @@ func checkSnapshot(t *testing.T, name string, prev *Snapshot, view *stream.View)
 		{"postings", gi.postings, wi.postings},
 		{"bySupport", gi.bySupport, wi.bySupport},
 		{"byConfidence", gi.byConfidence, wi.byConfidence},
-		{"resolver.catalog", gi.resolver.catalog, wi.resolver.catalog},
-		{"resolver.blob", gi.resolver.blob, wi.resolver.blob},
-		{"resolver.starts", gi.resolver.starts, wi.resolver.starts},
-		{"resolver.ends", gi.resolver.ends, wi.resolver.ends},
 	} {
 		if !reflect.DeepEqual(f.got, f.want) {
 			t.Fatalf("%s: index %s differs from the serial build:\n got %v\nwant %v", name, f.field, f.got, f.want)

@@ -2,22 +2,26 @@
 # bench_gate.sh — CI perf gate: re-run the headline benchmarks and fail if
 # any regresses against the numbers checked in at the repo root
 # (BENCH_mining.json "current", the BENCH_serving.json "after" results):
-# more than 5% (ALLOC_PCT) in B/op or allocs/op, or more than
-# THRESHOLD_PCT% (default 25) in ns/op.
+# more than 5% (ALLOC_PCT) in B/op or allocs/op, or more than 25%
+# (THRESHOLD_PCT) in ns/op.
 #
 # Usage:
-#   scripts/bench_gate.sh                 # gate at +5% memory, +25% time
-#   THRESHOLD_PCT=10 scripts/bench_gate.sh
+#   scripts/bench_gate.sh
 #
-# Each benchmark runs 5 times with -benchmem and the gate compares the
-# median run with the checked-in median, which scripts/bench.sh records
-# over the same number of runs: like with like, so one lucky or unlucky
-# run moves neither side.
+# Each gated benchmark runs 5 times with -benchmem in the same go test as
+# scripts/bench.sh runs it: one process per bench.sh group, with the
+# group's regexp, both taken from scripts/bench_groups.sh and parsed by
+# its parser. The gate compares the median run with the checked-in
+# median: like with like, so one lucky or unlucky run moves neither side.
+# A row timed alone reads different GC pacing than beside its group's live
+# fixtures: BenchmarkDecodeNDJSON read 355-492 us alone and 279-402 us in
+# its group (2 vCPU Xeon, one session), and failed the gate unchanged when
+# the gate ran it alone.
 #
 # B/op and allocs/op are fixed by the fixture and the code, not by the
 # machine's speed, so they gate tightly. Two benchmarks make sure of it:
 # IncrementalMine/incremental amortizes its tree rebuilds over the ticks
-# it runs, so it runs a fixed 100 (below), and ServeIngest times the
+# it runs, so its group runs a fixed 100, and ServeIngest times the
 # mining loop's take of its events, which otherwise overlaps the POST by
 # whatever the scheduler allows (per-run allocs/op read 2095-2196). Across
 # three 5-run captures on a 2 vCPU Xeon VM (one scripts/bench.sh, two runs
@@ -35,39 +39,15 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-THRESHOLD_PCT=${THRESHOLD_PCT:-25}
+readonly THRESHOLD_PCT=25
 readonly ALLOC_PCT=5
-BENCHTIME=${BENCHTIME:-1s}
+
+raw=$(mktemp)
+cpu=$(mktemp)
+trap 'rm -f "$raw" "$cpu"' EXIT
+. scripts/bench_groups.sh
 
 fail=0
-
-# fresh <pkg> <bench regexp> <name> prints the median ns/op, B/op and
-# allocs/op over 5 runs, tab-separated, or nothing if the benchmark did
-# not run.
-fresh() {
-    local runs
-    runs=$(go test -run=NONE -bench "$2" -benchtime="$BENCHTIME" -count=5 -benchmem "$1" |
-        awk -v want="$3" '/^Benchmark/ && /ns\/op/ {
-            n=$1; sub(/-[0-9]+$/, "", n)
-            if (n != want) next
-            ns=""; bytes=""; allocs=""
-            for (i = 3; i <= NF; i++) {
-                if ($i == "ns/op") ns = $(i-1)
-                else if ($i == "B/op") bytes = $(i-1)
-                else if ($i == "allocs/op") allocs = $(i-1)
-            }
-            print ns "\t" bytes "\t" allocs
-        }')
-    [ -n "$runs" ] || return 0
-    local col out=()
-    for col in 1 2 3; do
-        out+=("$(cut -f"$col" <<<"$runs" | sort -g | awk '{v[NR] = $1} END {
-            if (NR % 2) printf "%.0f\n", v[(NR + 1) / 2]
-            else printf "%.0f\n", (v[NR / 2] + v[NR / 2 + 1]) / 2
-        }')")
-    done
-    printf '%s\t%s\t%s\n' "${out[@]}"
-}
 
 # check <name> <unit> <fresh> <checked-in> <threshold %> fails the gate
 # when fresh exceeds checked-in by more than the threshold.
@@ -82,15 +62,16 @@ check() {
     fi
 }
 
-# gate <pkg> <bench regexp> <name> <checked-in "ns B allocs", tab-separated>
+# gate <name> <checked-in "ns B allocs", tab-separated> checks the
+# fresh medians of one benchmark from the groups run below.
 gate() {
-    local pkg=$1 re=$2 name=$3 base_ns base_bytes base_allocs got ns bytes allocs
-    IFS=$'\t' read -r base_ns base_bytes base_allocs <<<"$4"
+    local name=$1 base_ns base_bytes base_allocs got ns bytes allocs
+    IFS=$'\t' read -r base_ns base_bytes base_allocs <<<"$2"
     if [ -z "$base_ns" ] || [ "$base_ns" = "null" ]; then
         echo "SKIP $name: no checked-in baseline"
         return
     fi
-    got=$(fresh "$pkg" "$re" "$name")
+    got=$(jq -r --arg n "$name" ".[] | select(.name == \$n) | $entry" <<<"$medians")
     if [ -z "$got" ]; then
         echo "FAIL $name: benchmark produced no ns/op (renamed or broken?)"
         fail=1
@@ -112,34 +93,33 @@ serving_entry() { jq -r --arg n "$1" ".results[].after | select(.name == \$n) | 
 # the largest, then the rule diff, the first publish's diff, the index
 # build, and the snapshot assembly that runs the diff beside the index
 # build), the cluster remerge that publishes the merged view, both indexed
-# read paths, and the ingest path (a 50-event PAI POST through the handler
-# into a WAL, and the NDJSON decode of that body).
-# A fixed 100 ticks, as scripts/bench.sh records it: its B/op amortizes
-# the tree's rebuilds over the ticks run.
-BENCHTIME=100x gate ./internal/fpgrowth 'BenchmarkIncrementalMine/incremental$' \
-    'BenchmarkIncrementalMine/incremental' "$(mining_entry BenchmarkIncrementalMine/incremental)"
-gate . 'BenchmarkMinerFPGrowth$' \
-    'BenchmarkMinerFPGrowth' "$(mining_entry BenchmarkMinerFPGrowth)"
-gate ./internal/rules 'BenchmarkGenerateFixture$' \
-    'BenchmarkGenerateFixture' "$(serving_entry BenchmarkGenerateFixture)"
-gate ./internal/stream 'BenchmarkDiff$' \
-    'BenchmarkDiff' "$(serving_entry BenchmarkDiff)"
-gate ./internal/stream 'BenchmarkDiffFirst$' \
-    'BenchmarkDiffFirst' "$(serving_entry BenchmarkDiffFirst)"
-gate ./internal/server 'BenchmarkNewRuleIndex$' \
-    'BenchmarkNewRuleIndex' "$(serving_entry BenchmarkNewRuleIndex)"
-gate ./internal/server 'BenchmarkNewSnapshot$' \
-    'BenchmarkNewSnapshot' "$(serving_entry BenchmarkNewSnapshot)"
-gate ./internal/shard 'BenchmarkRemerge$' \
-    'BenchmarkRemerge' "$(serving_entry BenchmarkRemerge)"
-gate ./internal/server 'BenchmarkServingKeywordIndexed$' \
-    'BenchmarkServingKeywordIndexed' "$(serving_entry BenchmarkServingKeywordIndexed)"
-gate ./internal/server 'BenchmarkServingSortIndexed$' \
-    'BenchmarkServingSortIndexed' "$(serving_entry BenchmarkServingSortIndexed)"
-gate ./internal/server 'BenchmarkServeIngest$' \
-    'BenchmarkServeIngest' "$(serving_entry BenchmarkServeIngest)"
-gate ./internal/server 'BenchmarkDecodeNDJSON$' \
-    'BenchmarkDecodeNDJSON' "$(serving_entry BenchmarkDecodeNDJSON)"
+# read paths, the per-request keyword-list sort on each side of
+# applyQuery's switch (50 rules by comparison, 986 by radix), and the
+# ingest path (a 50-event PAI POST through the handler into a WAL, and the
+# NDJSON decode of that body). Each runs in its bench.sh group; the groups
+# with no gated row are not run.
+group_incremental
+group_miner
+group_generate_fixture
+group_diff
+group_server
+group_remerge
+medians=$(aggregate)
+
+gate BenchmarkIncrementalMine/incremental "$(mining_entry BenchmarkIncrementalMine/incremental)"
+gate BenchmarkMinerFPGrowth "$(mining_entry BenchmarkMinerFPGrowth)"
+gate BenchmarkGenerateFixture "$(serving_entry BenchmarkGenerateFixture)"
+gate BenchmarkDiff "$(serving_entry BenchmarkDiff)"
+gate BenchmarkDiffFirst "$(serving_entry BenchmarkDiffFirst)"
+gate BenchmarkNewRuleIndex "$(serving_entry BenchmarkNewRuleIndex)"
+gate BenchmarkNewSnapshot "$(serving_entry BenchmarkNewSnapshot)"
+gate BenchmarkRemerge "$(serving_entry BenchmarkRemerge)"
+gate BenchmarkServingKeywordIndexed "$(serving_entry BenchmarkServingKeywordIndexed)"
+gate BenchmarkServingSortIndexed "$(serving_entry BenchmarkServingSortIndexed)"
+gate BenchmarkApplyQuerySort "$(serving_entry BenchmarkApplyQuerySort)"
+gate BenchmarkApplyQuerySortRadix "$(serving_entry BenchmarkApplyQuerySortRadix)"
+gate BenchmarkServeIngest "$(serving_entry BenchmarkServeIngest)"
+gate BenchmarkDecodeNDJSON "$(serving_entry BenchmarkDecodeNDJSON)"
 
 if [ "$fail" != 0 ]; then
     echo "bench gate: headline benchmark regressed beyond +$ALLOC_PCT% B/op or allocs/op, or +$THRESHOLD_PCT% ns/op" >&2
