@@ -64,7 +64,10 @@ func main() {
 		log.Fatal("no failed item observed")
 	}
 	shown := 0
-	for _, rule := range delta.Appeared {
+	// Appeared holds positions into the post-rollout snapshot, strongest
+	// rule first.
+	for _, i := range delta.Appeared {
+		rule := after[i]
 		if !rule.Antecedent.Contains(failed) && !rule.Consequent.Contains(failed) {
 			continue
 		}

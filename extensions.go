@@ -25,7 +25,10 @@ type (
 	StreamMiner = stream.Miner
 	// StreamConfig sizes the window and thresholds.
 	StreamConfig = stream.Config
-	// StreamDelta describes rule-set drift between two snapshots.
+	// StreamDelta describes rule-set drift between two snapshots: the
+	// positions of the appeared rules in the newer snapshot (ascending, so
+	// strongest first) and copies of the vanished rules in the older
+	// snapshot's order.
 	StreamDelta = stream.Delta
 )
 
@@ -34,7 +37,8 @@ func NewStreamMiner(catalog *itemset.Catalog, cfg StreamConfig) (*StreamMiner, e
 	return stream.New(catalog, cfg)
 }
 
-// DiffSnapshots compares two rule snapshots structurally.
+// DiffSnapshots compares two rule snapshots structurally; index the newer
+// snapshot with the delta's Appeared positions to read the new rules.
 var DiffSnapshots = stream.Diff
 
 // Rule-based classification.

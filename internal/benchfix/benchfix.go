@@ -1,10 +1,11 @@
 // Package benchfix builds the shared fixtures of the publish-step stage
 // benchmarks and oracle tests. PublishPoints is one sliding PAI window
-// mined at two consecutive publish points, the input pair of stream.Diff
-// and the input of server.NewRuleIndex; keeping it in one place means the
-// stage benchmarks of different packages time the same rule lists, so
-// their numbers add up; Frequent recovers the itemsets a view's rules
-// were generated from. RandomRules draws the adversarial rule lists the
+// mined at two consecutive publish points, the input pair of
+// stream.DiffViews and stream.Diff and the input of
+// server.NewRuleIndex; keeping it in one place means the stage
+// benchmarks of different packages time the same rule lists, so their
+// numbers add up; Frequent recovers the itemsets a view's rules were
+// generated from. RandomRules draws the adversarial rule lists the
 // property tests of those stages compare against their oracles.
 package benchfix
 

@@ -132,13 +132,15 @@ func latticeCase(rng *rand.Rand) []byte {
 	return data
 }
 
-// checkGenerate requires Generate to equal the oracle on one input. An
-// empty result may be nil or empty: the oracle itself returns either,
-// depending on its worker count.
+// checkGenerate requires Generate to equal the oracle on one input, and
+// GenerateRefs to return Generate's rules with refs that name each of
+// them. An empty result may be nil or empty: the oracle itself returns
+// either, depending on its worker count.
 func checkGenerate(t *testing.T, fs []itemset.Frequent, n int, opts Options) {
 	t.Helper()
 	got := Generate(fs, n, opts)
 	want := generateOracle(fs, n, opts)
+	checkRefs(t, fs, n, opts, got)
 	if len(got) == 0 && len(want) == 0 {
 		return
 	}
@@ -150,6 +152,41 @@ func checkGenerate(t *testing.T, fs []itemset.Frequent, n int, opts Options) {
 			}
 		}
 		t.Fatalf("n=%d opts=%+v: %d rules, oracle %d", n, opts, len(got), len(want))
+	}
+}
+
+// checkRefs requires GenerateRefs to return want and refs in record
+// order: each itemset's masks ascending, every rule named once, and each
+// named rule's sides cut from its itemset by its mask.
+func checkRefs(t *testing.T, fs []itemset.Frequent, n int, opts Options, want []Rule) {
+	t.Helper()
+	got, refs := GenerateRefs(fs, n, opts)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("n=%d opts=%+v: GenerateRefs returned %d rules, Generate %d", n, opts, len(got), len(want))
+	}
+	if len(refs.Itemsets) != len(fs) || len(refs.Start) != len(fs)+1 || refs.Start[len(fs)] != int32(len(got)) ||
+		len(refs.Mask) != len(got) || len(refs.Rule) != len(got) {
+		t.Fatalf("n=%d opts=%+v: %d rules from %d itemsets carry refs of %d itemsets, starts %v, %d masks, %d positions",
+			n, opts, len(got), len(fs), len(refs.Itemsets), refs.Start, len(refs.Mask), len(refs.Rule))
+	}
+	named := make([]bool, len(got))
+	for i := range fs {
+		items := refs.Itemsets[i].Items
+		for k := refs.Start[i]; k < refs.Start[i+1]; k++ {
+			if k > refs.Start[i] && refs.Mask[k] <= refs.Mask[k-1] {
+				t.Fatalf("itemset %v: masks %b then %b, want ascending", items, refs.Mask[k-1], refs.Mask[k])
+			}
+			p := refs.Rule[k]
+			if named[p] {
+				t.Fatalf("rule %d named twice", p)
+			}
+			named[p] = true
+			ante, cons := sides(make(itemset.Set, len(items)), items, refs.Mask[k])
+			if !ante.Equal(got[p].Antecedent) || !cons.Equal(got[p].Consequent) {
+				t.Fatalf("rule %d is %v ⇒ %v, its ref (%v, %b) names %v ⇒ %v",
+					p, got[p].Antecedent, got[p].Consequent, items, refs.Mask[k], ante, cons)
+			}
+		}
 	}
 }
 

@@ -88,44 +88,22 @@ type Options struct {
 	Workers int
 }
 
-// supportIndex is an open-addressed hash table from itemset to its support
-// count, keyed by Set.Hash — no string Key allocations on lookups. Slots
-// hold 1-based indices into the frequent slice.
+// supportIndex looks up an itemset's support count in the frequent list.
 type supportIndex struct {
-	slots []int32
-	mask  uint64
-	fs    []itemset.Frequent
+	find *itemset.Index
+	fs   []itemset.Frequent
 }
 
 func newSupportIndex(fs []itemset.Frequent) *supportIndex {
-	size := 1
-	for size < 2*len(fs)+1 {
-		size <<= 1
-	}
-	ix := &supportIndex{slots: make([]int32, size), mask: uint64(size - 1), fs: fs}
-	for i := range fs {
-		h := fs[i].Items.Hash() & ix.mask
-		for ix.slots[h] != 0 {
-			h = (h + 1) & ix.mask
-		}
-		ix.slots[h] = int32(i + 1)
-	}
-	return ix
+	return &supportIndex{find: itemset.NewIndex(fs, nil), fs: fs}
 }
 
 // count returns the support count of s, or false when s is not frequent.
 func (ix *supportIndex) count(s itemset.Set) (int, bool) {
-	h := s.Hash() & ix.mask
-	for {
-		v := ix.slots[h]
-		if v == 0 {
-			return 0, false
-		}
-		if ix.fs[v-1].Items.Equal(s) {
-			return ix.fs[v-1].Count, true
-		}
-		h = (h + 1) & ix.mask
+	if i := ix.find.Find(s); i >= 0 {
+		return ix.fs[i].Count, true
 	}
+	return 0, false
 }
 
 // Generate derives association rules from the mined frequent itemsets.
@@ -145,6 +123,52 @@ func (ix *supportIndex) count(s itemset.Set) (int, bool) {
 // are compared only inside runs where both tie, and each Rule is then
 // written once into its final slot of an exactly sized slice.
 func Generate(frequent []itemset.Frequent, nTxns int, opts Options) []Rule {
+	g := newGenerator(frequent, nTxns, opts)
+	return g.place(g.order())
+}
+
+// Refs names generated rules by reference, in the generator's own record
+// order: the kept splits of each frequent itemset, masks ascending. The
+// splits of Itemsets[i] are Mask[Start[i]:Start[i+1]]. Bit j of a mask
+// puts the itemset's j-th item in the antecedent and the rest form the
+// consequent; Rule gives the split's position in the rule list. A rule's
+// structure, antecedent ⇒ consequent, is exactly its (itemset, mask) pair,
+// so two rule lists compare by itemset and then by integer masks. The refs
+// cost 12 bytes per rule and 4 per itemset; all four slices are immutable.
+type Refs struct {
+	// Itemsets is the frequent list the rules were generated from.
+	Itemsets []itemset.Frequent
+	Start    []int32
+	Mask     []uint64
+	Rule     []int32
+}
+
+// GenerateRefs is Generate that also returns the rules' refs.
+func GenerateRefs(frequent []itemset.Frequent, nTxns int, opts Options) ([]Rule, Refs) {
+	g := newGenerator(frequent, nTxns, opts)
+	order := g.order()
+	refs := Refs{
+		Itemsets: frequent,
+		Start:    make([]int32, len(frequent)+1),
+		Mask:     make([]uint64, g.n),
+		Rule:     make([]int32, g.n),
+	}
+	for p, si := range order {
+		refs.Rule[si] = int32(p)
+	}
+	for si := range refs.Mask {
+		s := g.at(int32(si))
+		refs.Mask[si] = s.mask
+		refs.Start[s.fi+1]++
+	}
+	for i := 1; i < len(refs.Start); i++ {
+		refs.Start[i] += refs.Start[i-1]
+	}
+	return g.place(order), refs
+}
+
+// newGenerator records the kept splits of every frequent itemset.
+func newGenerator(frequent []itemset.Frequent, nTxns int, opts Options) generator {
 	if opts.MinLift == 0 {
 		opts.MinLift = 1.5
 	}
@@ -152,7 +176,7 @@ func Generate(frequent []itemset.Frequent, nTxns int, opts Options) []Rule {
 	for fi := range frequent {
 		g.enumerate(fi)
 	}
-	return g.place(g.order())
+	return g
 }
 
 // split is one kept antecedent/consequent partition of a frequent itemset:

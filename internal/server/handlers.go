@@ -698,9 +698,9 @@ func WriteDrift(w http.ResponseWriter, r *http.Request, snap *Snapshot, p DriftP
 			return
 		}
 		resp.Keyword = name
-		delta = stream.KeywordDelta(delta, item)
+		delta = stream.KeywordDelta(delta, snap.Index.postings.For(item), item, limit)
 	}
-	resp.Appeared = rules.ManyToJSON(truncate(delta.Appeared, limit), snap.View.Catalog)
+	resp.Appeared = rules.ManyToJSON(stream.RulesAt(snap.View.Rules, truncate(delta.Appeared, limit)), snap.View.Catalog)
 	resp.Vanished = rules.ManyToJSON(truncate(delta.Vanished, limit), snap.View.Catalog)
 	WriteJSON(w, http.StatusOK, resp)
 }
@@ -788,7 +788,7 @@ func floatParam(raw string) (v float64, ok bool, err error) {
 	return v, true, nil
 }
 
-func truncate(rs []rules.Rule, limit int) []rules.Rule {
+func truncate[T any](rs []T, limit int) []T {
 	if len(rs) > limit {
 		return rs[:limit]
 	}

@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/rules"
 	"repro/internal/stream"
 	"repro/internal/wal"
 )
@@ -171,7 +170,8 @@ type Snapshot struct {
 	// It is required: handlers read it without a nil check, so a snapshot
 	// assembled outside NewSnapshot must set it with NewRuleIndex(View).
 	Index *RuleIndex
-	// Delta is the structural diff against the previous snapshot.
+	// Delta is the structural diff against the previous snapshot; its
+	// Appeared positions index View.Rules.
 	Delta stream.Delta
 	// Stale marks a republished snapshot: the mine that should have
 	// replaced it panicked or timed out, so this data is older than the
@@ -705,15 +705,15 @@ func NewSnapshot(prev *Snapshot, first int64, view *stream.View, clock faultinje
 		View:  view,
 		Stale: stale,
 	}
-	var prevRules []rules.Rule
+	var prevView *stream.View
 	if prev != nil {
 		snap.Seq = prev.Seq + 1
 		snap.PrevSeq = prev.Seq
-		prevRules = prev.View.Rules
+		prevView = prev.View
 	}
 	parallel(
 		func() { snap.Index = NewRuleIndex(view) },
-		func() { snap.Delta = stream.Diff(prevRules, view.Rules) },
+		func() { snap.Delta = stream.DiffViews(prevView, view) },
 	)
 	snap.MinedAt = clock.Now()
 	snap.MineDuration = snap.MinedAt.Sub(start)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/rules"
+	"repro/internal/stream"
 )
 
 // watchRuleCap caps the appeared/vanished lists inside one push event; the
@@ -93,7 +94,7 @@ func (h *WatchHub) Publish(snap *Snapshot) {
 		Jaccard:       snap.Delta.Jaccard,
 		AppearedTotal: len(snap.Delta.Appeared),
 		VanishedTotal: len(snap.Delta.Vanished),
-		Appeared:      rules.ManyToJSON(truncate(snap.Delta.Appeared, watchRuleCap), snap.View.Catalog),
+		Appeared:      rules.ManyToJSON(stream.RulesAt(snap.View.Rules, truncate(snap.Delta.Appeared, watchRuleCap)), snap.View.Catalog),
 		Vanished:      rules.ManyToJSON(truncate(snap.Delta.Vanished, watchRuleCap), snap.View.Catalog),
 	}
 	data, err := json.Marshal(ev)

@@ -11,7 +11,7 @@ package stream
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/fpgrowth"
 	"repro/internal/itemset"
@@ -182,6 +182,10 @@ type View struct {
 	// multi-shard view (internal/shard) carries the union of its shards'
 	// windows, re-interned against the merge catalog.
 	Window []itemset.Set
+	// Refs names each rule by its frequent itemset and antecedent mask
+	// (see rules.Refs); DiffViews compares views through them. A view
+	// built by hand rather than mined may leave them empty.
+	Refs rules.Refs
 }
 
 // View mines the current window and packages the result with a frozen
@@ -233,6 +237,7 @@ func (m *Miner) BeginView() *PendingView {
 func (pv *PendingView) Mine() *View {
 	n := len(pv.window)
 	var rs []rules.Rule
+	var refs rules.Refs
 	if n > 0 {
 		db := transaction.NewDB(pv.catalog)
 		for _, txn := range pv.window {
@@ -242,7 +247,7 @@ func (pv *PendingView) Mine() *View {
 			MinCount: MinCount(pv.cfg.MinSupport, n),
 			MaxLen:   pv.cfg.MaxLen,
 		})
-		rs = rules.Generate(frequent, n, rules.Options{MinLift: pv.cfg.MinLift})
+		rs, refs = rules.GenerateRefs(frequent, n, rules.Options{MinLift: pv.cfg.MinLift})
 	}
 	return &View{
 		Rules:     rs,
@@ -250,6 +255,7 @@ func (pv *PendingView) Mine() *View {
 		WindowLen: n,
 		Total:     pv.total,
 		Window:    pv.window,
+		Refs:      refs,
 	}
 }
 
@@ -317,26 +323,51 @@ func (p Postings) For(item itemset.Item) []int32 {
 
 // Delta describes how the rule set changed between two snapshots.
 type Delta struct {
-	// Appeared holds rules present now but not before; Vanished the
-	// reverse. Both are sorted by descending lift.
-	Appeared, Vanished []rules.Rule
+	// Appeared lists the positions, ascending, of the current rules that
+	// the previous list lacks: for rules.Generate output, strongest first.
+	// RulesAt materializes them.
+	Appeared []int32
+	// Vanished copies the previous rules that the current list lacks, in
+	// previous-list order.
+	Vanished []rules.Rule
 	// Jaccard is the similarity of the two rule sets by structure
 	// (antecedent ⇒ consequent identity, ignoring metric drift): 1 means
 	// unchanged, 0 means disjoint.
 	Jaccard float64
 }
 
-// Diff compares two snapshots structurally: a rule's identity is its
-// antecedent ⇒ consequent pair. A rule listed twice counts once towards
-// Jaccard, and every copy of an appeared or vanished rule is listed.
+// RulesAt returns the rules of rs at positions, in order: the page of a
+// delta's Appeared list that a caller sends.
+func RulesAt(rs []rules.Rule, positions []int32) []rules.Rule {
+	out := make([]rules.Rule, len(positions))
+	for k, i := range positions {
+		out[k] = rs[i]
+	}
+	return out
+}
+
+// jaccard is inter / union for two sets of distinct sizes a and b sharing
+// inter elements, and 1 when both are empty.
+func jaccard(a, b, inter int) float64 {
+	union := a + b - inter
+	if union == 0 {
+		return 1
+	}
+	return float64(inter) / float64(union)
+}
+
+// Diff compares two rule lists structurally: a rule's identity is its
+// antecedent ⇒ consequent pair. The lists may be anything: sides may
+// overlap and a rule may be listed twice, in which case it counts once
+// towards Jaccard and every copy of an appeared or vanished rule is
+// listed. DiffViews is the publish path's form for mined views.
 //
 // Both lists go into one open-addressed table of rule positions keyed by
 // rules.SidesHash, so the diff costs integer work per rule; every probe
 // hit is confirmed with Set.Equal, so a hash collision never misclassifies
 // a rule. The classifying passes record appeared positions and count
-// vanished rules, so each output list is allocated once at its exact
-// length: a first publish, where every rule appears, copies the rule list
-// once instead of append-growing it.
+// vanished rules, so the vanished copies are allocated once at their
+// exact length.
 func Diff(prev, cur []rules.Rule) Delta {
 	t := newRuleTable(prev, cur)
 	// at[i] is the slot holding prev[i]'s structure, shared by its copies.
@@ -371,7 +402,7 @@ func Diff(prev, cur []rules.Rule) Delta {
 			inter++
 		}
 	}
-	var d Delta
+	d := Delta{Jaccard: jaccard(prevKeys, curKeys, inter)}
 	vanished := 0
 	for i := range prev {
 		if !hit[at[i]] {
@@ -387,19 +418,12 @@ func Diff(prev, cur []rules.Rule) Delta {
 		}
 	}
 	if len(appeared) > 0 {
-		d.Appeared = make([]rules.Rule, len(appeared))
-		for k, i := range appeared {
-			d.Appeared[k] = cur[i]
+		d.Appeared = appeared
+		if len(appeared) < len(cur) {
+			// Keep the list, not the buffer sized for every rule.
+			d.Appeared = slices.Clone(appeared)
 		}
 	}
-	union := prevKeys + curKeys - inter
-	if union == 0 {
-		d.Jaccard = 1
-	} else {
-		d.Jaccard = float64(inter) / float64(union)
-	}
-	sort.Slice(d.Appeared, func(i, j int) bool { return d.Appeared[i].Lift > d.Appeared[j].Lift })
-	sort.Slice(d.Vanished, func(i, j int) bool { return d.Vanished[i].Lift > d.Vanished[j].Lift })
 	return d
 }
 
@@ -442,22 +466,116 @@ func (t *ruleTable) slot(r *rules.Rule) uint64 {
 	}
 }
 
-// KeywordDelta narrows a delta to the rules mentioning the keyword on
-// either side — the alerting primitive: "a new rule about job failure
-// appeared in the last window".
-func KeywordDelta(d Delta, keyword itemset.Item) Delta {
-	filter := func(rs []rules.Rule) []rules.Rule {
-		var out []rules.Rule
-		for _, r := range rs {
-			if r.Antecedent.Contains(keyword) || r.Consequent.Contains(keyword) {
-				out = append(out, r)
+// DiffViews is Diff(prev.Rules, cur.Rules) for mined views, computed by
+// reference: a mined rule is its (itemset, antecedent mask) pair (see
+// rules.Refs), and the rules of one view are distinct. So the previous
+// view's rule-owning itemsets are hashed once, each current one is looked
+// up once, and the mask runs of a matched pair, both ascending, are
+// merged: integer work per rule. A nil prev is a first publish, where
+// every rule appears and nothing is hashed. A view without refs (one built
+// by hand rather than mined) falls back to Diff.
+func DiffViews(prev, cur *View) Delta {
+	var prevRules []rules.Rule
+	var pr rules.Refs
+	if prev != nil {
+		prevRules, pr = prev.Rules, prev.Refs
+	}
+	cr := cur.Refs
+	if !hasRefs(prevRules, pr) || !hasRefs(cur.Rules, cr) {
+		return Diff(prevRules, cur.Rules)
+	}
+	n, m := len(prevRules), len(cur.Rules)
+	if n == 0 {
+		d := Delta{Jaccard: jaccard(0, m, 0)}
+		if m > 0 {
+			d.Appeared = make([]int32, m)
+			for i := range d.Appeared {
+				d.Appeared[i] = int32(i)
 			}
 		}
-		return out
+		return d
 	}
-	return Delta{
-		Appeared: filter(d.Appeared),
-		Vanished: filter(d.Vanished),
-		Jaccard:  d.Jaccard,
+	owners := itemset.NewIndex(pr.Itemsets, func(i int) bool { return pr.Start[i+1] > pr.Start[i] })
+	// kept marks the rules of each side that the other side shares.
+	prevKept, curKept := make([]bool, n), make([]bool, m)
+	inter := 0
+	for ci := range cr.Itemsets {
+		c, cend := cr.Start[ci], cr.Start[ci+1]
+		if c == cend {
+			continue
+		}
+		pi := owners.Find(cr.Itemsets[ci].Items)
+		if pi < 0 {
+			continue
+		}
+		for p, pend := pr.Start[pi], pr.Start[pi+1]; c < cend && p < pend; {
+			switch cm, pm := cr.Mask[c], pr.Mask[p]; {
+			case cm < pm:
+				c++
+			case cm > pm:
+				p++
+			default:
+				curKept[cr.Rule[c]] = true
+				prevKept[pr.Rule[p]] = true
+				inter++
+				c++
+				p++
+			}
+		}
 	}
+	d := Delta{Jaccard: jaccard(n, m, inter)}
+	if appeared := m - inter; appeared > 0 {
+		d.Appeared = make([]int32, 0, appeared)
+		for i, kept := range curKept {
+			if !kept {
+				d.Appeared = append(d.Appeared, int32(i))
+			}
+		}
+	}
+	if vanished := n - inter; vanished > 0 {
+		d.Vanished = make([]rules.Rule, 0, vanished)
+		for i, kept := range prevKept {
+			if !kept {
+				d.Vanished = append(d.Vanished, prevRules[i])
+			}
+		}
+	}
+	return d
+}
+
+// hasRefs reports whether refs name every rule of rs.
+func hasRefs(rs []rules.Rule, refs rules.Refs) bool {
+	return len(refs.Rule) == len(rs) && len(refs.Mask) == len(rs)
+}
+
+// KeywordDelta narrows a delta to at most limit appeared and limit
+// vanished rules mentioning the keyword on either side — the alerting
+// primitive: "a new rule about job failure appeared in the last window".
+// posting is the keyword's posting list over the current rules (see
+// IndexRules); the walk stops once limit appeared rules are found, so a
+// first publish's delta, where every rule appears, costs about limit
+// binary searches.
+func KeywordDelta(d Delta, posting []int32, keyword itemset.Item, limit int) Delta {
+	out := Delta{Jaccard: d.Jaccard}
+	app := d.Appeared
+	for _, p := range posting {
+		if len(out.Appeared) == limit || len(app) == 0 {
+			break
+		}
+		i, found := slices.BinarySearch(app, p)
+		if found {
+			out.Appeared = append(out.Appeared, p)
+			i++
+		}
+		app = app[i:]
+	}
+	for _, r := range d.Vanished {
+		if len(out.Vanished) == limit {
+			break
+		}
+		if r.Antecedent.Contains(keyword) || r.Consequent.Contains(keyword) {
+			out.Vanished = append(out.Vanished, r)
+		}
+	}
+	return out
 }

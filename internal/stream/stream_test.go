@@ -142,11 +142,12 @@ func TestDriftDetection(t *testing.T) {
 		t.Errorf("Jaccard = %v, expected visible drift", d.Jaccard)
 	}
 	failed, _ := m.Catalog().Lookup("failed")
-	kd := KeywordDelta(d, failed)
+	posting := IndexRules(after, m.Catalog().Len()).For(failed)
+	kd := KeywordDelta(d, posting, failed, math.MaxInt)
 	if len(kd.Appeared) == 0 {
 		t.Fatal("failure keyword delta should flag the new rule")
 	}
-	for _, r := range kd.Appeared {
+	for _, r := range RulesAt(after, kd.Appeared) {
 		if !r.Antecedent.Contains(failed) && !r.Consequent.Contains(failed) {
 			t.Fatalf("keyword delta leaked unrelated rule: %v", r)
 		}
@@ -272,10 +273,12 @@ func TestDiffVanishAndReappear(t *testing.T) {
 	s3 := m.Snapshot()
 
 	x, _ := m.Catalog().Lookup("x")
-	containsX := func(d Delta, appeared bool) bool {
+	// cur is the newer snapshot of d, the one its Appeared positions
+	// point into.
+	containsX := func(d Delta, cur []rules.Rule, appeared bool) bool {
 		rs := d.Vanished
 		if appeared {
-			rs = d.Appeared
+			rs = RulesAt(cur, d.Appeared)
 		}
 		for _, r := range rs {
 			if r.Antecedent.Contains(x) || r.Consequent.Contains(x) {
@@ -285,17 +288,17 @@ func TestDiffVanishAndReappear(t *testing.T) {
 		return false
 	}
 	d12 := Diff(s1, s2)
-	if !containsX(d12, false) {
+	if !containsX(d12, s2, false) {
 		t.Error("x rule not reported vanished in s1->s2")
 	}
-	if containsX(d12, true) {
+	if containsX(d12, s2, true) {
 		t.Error("x rule reported appeared in s1->s2")
 	}
 	d23 := Diff(s2, s3)
-	if !containsX(d23, true) {
+	if !containsX(d23, s3, true) {
 		t.Error("x rule not reported appeared in s2->s3")
 	}
-	if containsX(d23, false) {
+	if containsX(d23, s3, false) {
 		t.Error("x rule reported vanished in s2->s3")
 	}
 	// Round trip: the reappearing rule set matches the original.

@@ -28,7 +28,8 @@
 # reports the speedup directly. The publish-step rows (rule diff, index
 # build, snapshot assembly) work the same way: each stage's replaced
 # implementation is kept as a test oracle and benchmarked as the Oracle
-# (or Serial) twin in the same run. So is the cluster remerge: the union-window
+# (or Serial) twin in the same run; the itemset-keyed diff the publish
+# runs is paired with the rule-list diff, its oracle, on the same views. So is the cluster remerge: the union-window
 # mine against the SON merge it replaced, kept as its test oracle, the
 # cold keyword analysis: the sub-side probe pruning against the bucket scan
 # it replaced, and rule generation: the count-table, radix-sorted Generate
@@ -38,8 +39,9 @@
 # no oracle twin have a null before and speedup: the first publish's
 # diff, the per-request keyword-list sort on each side of applyQuery's
 # switch (slices.SortStableFunc of a 50-rule list, the radix sort of
-# status=failed's 986-rule pruned characteristic list), and a whole
-# 50-event ingest POST through the handler.
+# status=failed's 986-rule pruned characteristic list), a first publish's
+# keyword drift page, and a whole 50-event ingest POST through the
+# handler.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,7 +100,7 @@ host=$(machine "$(aggregate)")
 aggregate | jq --argjson machine "$host" --arg benchtime "$BENCHTIME" --argjson count "$RUNS" '
   map(del(.package, .procs)) | map({key: .name, value: .}) | from_entries as $b
   | {generated_by: "scripts/bench.sh", machine: $machine, benchtime: $benchtime, count: $count,
-     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window (the first publish diff and the per-request keyword-list sorts have no oracle, before null; the snapshot assembly against the serial build); the SON merge against the union-window mine on that window split over three shards; the bucket-scan pruning oracle against the sub-side probes in a cold keyword analysis of that window; the replaced Generate against the current one on the frequent itemsets of that window; the json.Unmarshal NDJSON decoder and json.Marshal against the one-pass decoder and record encoder on 50 PAI events, and the whole ingest POST (no oracle, before null). ns_per_op is the median over count runs, ns_min and ns_max the extremes; speedup is the ratio of medians",
+     note: "before is the in-tree oracle, after the current code, from the same run: the pre-index linear scan against the indexed read path on one 20k-job snapshot; the replaced publish-step stages against the current ones on the 5000-job PAI fixture window (the first publish diff, the per-request keyword-list sorts and the first publish keyword drift page have no oracle, before null; the itemset-keyed diff against the rule-list diff; the snapshot assembly against the serial build); the SON merge against the union-window mine on that window split over three shards; the bucket-scan pruning oracle against the sub-side probes in a cold keyword analysis of that window; the replaced Generate against the current one on the frequent itemsets of that window; the json.Unmarshal NDJSON decoder and json.Marshal against the one-pass decoder and record encoder on 50 PAI events, and the whole ingest POST (no oracle, before null). ns_per_op is the median over count runs, ns_min and ns_max the extremes; speedup is the ratio of medians",
      results: ([
        {query: "repeated ?keyword= analysis",
         before: $b.BenchmarkServingKeywordLinear,
@@ -112,6 +114,12 @@ aggregate | jq --argjson machine "$host" --arg benchtime "$BENCHTIME" --argjson 
        {query: "first publish diff (every rule appears)",
         before: null,
         after: $b.BenchmarkDiffFirst},
+       {query: "publish diff by itemset (DiffViews against the rule-list Diff)",
+        before: $b.BenchmarkDiff,
+        after: $b.BenchmarkDiffViews},
+       {query: "first publish diff by itemset (DiffViews against the rule-list Diff)",
+        before: $b.BenchmarkDiffFirst,
+        after: $b.BenchmarkDiffViewsFirst},
        {query: "publish index build",
         before: $b.BenchmarkNewRuleIndexOracle,
         after: $b.BenchmarkNewRuleIndex},
@@ -135,6 +143,9 @@ aggregate | jq --argjson machine "$host" --arg benchtime "$BENCHTIME" --argjson 
         before: $b["BenchmarkKeywordAnalysisMissOracle/\($kw)"],
         after: $b["BenchmarkKeywordAnalysisMiss/\($kw)"]}
      ] + [
+       {query: "first publish ?keyword=failed drift page",
+        before: null,
+        after: $b.BenchmarkDriftKeywordFirst},
        {query: "ingest NDJSON decode of a 50-event PAI body",
         before: $b.BenchmarkDecodeNDJSONOracle,
         after: $b.BenchmarkDecodeNDJSON},

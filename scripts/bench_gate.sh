@@ -90,12 +90,13 @@ serving_entry() { jq -r --arg n "$1" ".results[].after | select(.name == \$n) | 
 # The headline set: the windowed-delta mine of the fpgrowth.Incremental
 # library, the end-to-end PAI miner (the per-mine rebuild the serving loop
 # runs), and on the PAI fixture window the publish stages (rule generation,
-# the largest, then the rule diff, the first publish's diff, the index
-# build, and the snapshot assembly that runs the diff beside the index
-# build), the cluster remerge that publishes the merged view, both indexed
-# read paths, the per-request keyword-list sort on each side of
-# applyQuery's switch (50 rules by comparison, 986 by radix), and the
-# ingest path (a 50-event PAI POST through the handler into a WAL, and the
+# the largest, then the rule-list diff and the itemset-keyed diff the
+# publish runs, each also on a first publish, the index build, and the
+# snapshot assembly that runs the diff beside the index build), the
+# cluster remerge that publishes the merged view, both indexed read paths,
+# a first publish's keyword drift page, the per-request keyword-list sort
+# on each side of applyQuery's switch (50 rules by comparison, 986 by
+# radix), and the ingest path (a 50-event PAI POST through the handler into a WAL, and the
 # NDJSON decode of that body). Each runs in its bench.sh group; the groups
 # with no gated row are not run.
 group_incremental
@@ -111,11 +112,14 @@ gate BenchmarkMinerFPGrowth "$(mining_entry BenchmarkMinerFPGrowth)"
 gate BenchmarkGenerateFixture "$(serving_entry BenchmarkGenerateFixture)"
 gate BenchmarkDiff "$(serving_entry BenchmarkDiff)"
 gate BenchmarkDiffFirst "$(serving_entry BenchmarkDiffFirst)"
+gate BenchmarkDiffViews "$(serving_entry BenchmarkDiffViews)"
+gate BenchmarkDiffViewsFirst "$(serving_entry BenchmarkDiffViewsFirst)"
 gate BenchmarkNewRuleIndex "$(serving_entry BenchmarkNewRuleIndex)"
 gate BenchmarkNewSnapshot "$(serving_entry BenchmarkNewSnapshot)"
 gate BenchmarkRemerge "$(serving_entry BenchmarkRemerge)"
 gate BenchmarkServingKeywordIndexed "$(serving_entry BenchmarkServingKeywordIndexed)"
 gate BenchmarkServingSortIndexed "$(serving_entry BenchmarkServingSortIndexed)"
+gate BenchmarkDriftKeywordFirst "$(serving_entry BenchmarkDriftKeywordFirst)"
 gate BenchmarkApplyQuerySort "$(serving_entry BenchmarkApplyQuerySort)"
 gate BenchmarkApplyQuerySortRadix "$(serving_entry BenchmarkApplyQuerySortRadix)"
 gate BenchmarkServeIngest "$(serving_entry BenchmarkServeIngest)"

@@ -78,12 +78,14 @@ group_miner() { run . 'BenchmarkMinerFPGrowth$|BenchmarkServerIngestMine$'; }
 # build, plus the per-request keyword-list sort on each side of
 # applyQuery's switch (50 and 986 rules). A cold keyword analysis on a
 # fresh index of the fixture's second publish, for each keyword
-# perfbench's query-mix sends. The ingest path on 50 generated PAI events:
-# the NDJSON decode of one POST body, one WAL record encode, and the whole
-# POST through the handler into a WAL until the mining loop has taken its
-# events.
-group_server() { run ./internal/server 'BenchmarkServing|BenchmarkNewRuleIndex|BenchmarkNewSnapshot|BenchmarkApplyQuerySort|BenchmarkKeywordAnalysisMiss|BenchmarkDecodeNDJSON|BenchmarkWALRecord|BenchmarkServeIngest$'; }
-# stream.Diff against its oracle, and the first publish's diff.
+# perfbench's query-mix sends, and a first publish's ?keyword=failed
+# drift. The ingest path on 50 generated PAI events: the NDJSON decode of
+# one POST body, one WAL record encode, and the whole POST through the
+# handler into a WAL until the mining loop has taken its events.
+group_server() { run ./internal/server 'BenchmarkServing|BenchmarkNewRuleIndex|BenchmarkNewSnapshot|BenchmarkApplyQuerySort|BenchmarkKeywordAnalysisMiss|BenchmarkDriftKeywordFirst|BenchmarkDecodeNDJSON|BenchmarkWALRecord|BenchmarkServeIngest$'; }
+# The rule-list stream.Diff against its oracle and on a first publish, and
+# the publish path's itemset-keyed DiffViews on the same pair and first
+# publish.
 group_diff() { run ./internal/stream 'BenchmarkDiff'; }
 # The cluster remerge of the fixture window split over three shards,
 # against the SON merge oracle.
